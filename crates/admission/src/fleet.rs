@@ -966,10 +966,6 @@ impl Process for FleetSim {
             }
         }
     }
-
-    fn tag(&self, _event: &FleetEvent) -> &'static str {
-        "fleet.kick"
-    }
 }
 
 #[cfg(test)]

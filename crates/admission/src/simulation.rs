@@ -16,14 +16,13 @@
 //! * **ideal** (the default): control messages take effect instantly and
 //!   are never lost; the original, fast path;
 //! * **lossy** ([`Scenario::faults`], or any scripted [`Crash`] /
-//!   [`Hang`] event): every message travels through a
-//!   [`ControlPlane`](crate::control_plane::ControlPlane) whose seeded
-//!   `autoplat_sim::FaultInjector` may drop, delay or duplicate it, and
-//!   clients themselves may crash or hang. The protocol then runs its
-//!   fault-tolerant machinery — retransmission, acknowledgements,
-//!   heartbeats, the RM watchdog, safe-mode degradation — and the outcome
-//!   carries [`RecoveryMetrics`]. A plan plus a seed determines the run
-//!   bit-exactly.
+//!   [`Hang`] event): every message travels through a [`ControlPlane`]
+//!   whose seeded `autoplat_sim::FaultInjector` may drop, delay or
+//!   duplicate it, and clients themselves may crash or hang. The protocol
+//!   then runs its fault-tolerant machinery — retransmission,
+//!   acknowledgements, heartbeats, the RM watchdog, safe-mode
+//!   degradation — and the outcome carries [`RecoveryMetrics`]. A plan
+//!   plus a seed determines the run bit-exactly.
 //!
 //! [`Crash`]: ScenarioEvent::Crash
 //! [`Hang`]: ScenarioEvent::Hang
@@ -755,10 +754,6 @@ impl<P: RatePolicy> Process for LossyEpoch<'_, P> {
         if next < self.boundary {
             sink.schedule_at(cycle_at(next), AdmissionEvent::Kick);
         }
-    }
-
-    fn tag(&self, _event: &AdmissionEvent) -> &'static str {
-        "admission.kick"
     }
 }
 

@@ -16,7 +16,7 @@
 //!    streams), each fully determined by a single `u64` case seed;
 //! 2. [`oracle`] replays each scenario through both the analysis and
 //!    the event-kernel simulator and checks the dominance invariants;
-//! 3. [`shrink`] greedily minimises any failing scenario;
+//! 3. [`shrink`](mod@shrink) greedily minimises any failing scenario;
 //! 4. [`harness`] sweeps N cases per family from a master seed and
 //!    reports shrunk, replayable reproducers.
 //!

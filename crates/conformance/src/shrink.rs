@@ -26,7 +26,7 @@ pub struct Shrunk {
 /// Each round tries the scenario's [`Scenario::shrink_candidates`] in
 /// order and descends into the first candidate that still fails. Rounds
 /// stop when no candidate fails (a local minimum) or after
-/// [`MAX_ROUNDS`].
+/// `MAX_ROUNDS` rounds.
 pub fn shrink(oracle: &Oracle, scenario: Scenario, violation: Violation) -> Shrunk {
     let mut current = scenario;
     let mut current_violation = violation;

@@ -2,9 +2,8 @@
 //!
 //! The paper's admission-control vision (§V) only pays off when DRAM,
 //! interconnect, regulation, and scheduling are evaluated *together* on
-//! one timeline. [`CoSim`] is that composition: one
-//! [`Engine`](autoplat_sim::Engine), one clock, one seeded RNG, one fault
-//! plan, and one metrics registry drive
+//! one timeline. [`CoSim`] is that composition: one [`Engine`], one
+//! clock, one seeded RNG, one fault plan, and one metrics registry drive
 //!
 //! * **sched** — periodic tasks released on their cores; each job computes
 //!   for its WCET (jobs on one core serialize), then issues its memory
@@ -291,6 +290,33 @@ pub enum CoSimEvent {
     Control(ControlCommand),
     /// A QoS monitor-capture / regulation epoch boundary.
     Epoch,
+}
+
+impl CoSimEvent {
+    /// The `engine.events.<tag>` export tag of each variant, indexed by
+    /// [`CoSimEvent::index`].
+    const TAGS: [&'static str; 7] = [
+        "noc.tick",
+        "memguard.replenish",
+        "sched.release",
+        "sched.compute_done",
+        "regulation.resume",
+        "cosim.control",
+        "qos.epoch",
+    ];
+
+    /// The variant's position in [`CoSimEvent::TAGS`].
+    fn index(&self) -> usize {
+        match self {
+            CoSimEvent::Noc(_) => 0,
+            CoSimEvent::Regulation(_) => 1,
+            CoSimEvent::Release(_) => 2,
+            CoSimEvent::ComputeDone(..) => 3,
+            CoSimEvent::Resume(_) => 4,
+            CoSimEvent::Control(_) => 5,
+            CoSimEvent::Epoch => 6,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -599,6 +625,8 @@ pub struct CoSim {
     controls_applied: u64,
     controls_refused: u64,
     controls_dropped: u64,
+    /// Deliveries per [`CoSimEvent`] variant, indexed by [`CoSimEvent::index`].
+    deliveries: [u64; 7],
     qos: Option<QosState>,
 }
 
@@ -696,6 +724,7 @@ impl CoSim {
             controls_applied: 0,
             controls_refused: 0,
             controls_dropped: 0,
+            deliveries: [0; 7],
             qos,
         }
     }
@@ -722,7 +751,21 @@ impl CoSim {
         let mut metrics = MetricsRegistry::new();
         self.noc.publish_metrics(&mut metrics);
         self.memguard.memguard().publish_metrics(&mut metrics);
-        engine.publish_metrics(&mut metrics);
+        metrics.counter_add("engine.events_delivered", engine.delivered());
+        for (tag, &n) in CoSimEvent::TAGS.iter().zip(&self.deliveries) {
+            if n > 0 {
+                metrics.counter_add(format!("engine.events.{tag}"), n);
+            }
+        }
+        // The export's key set is pinned: faults are applied here, not by the kernel.
+        for key in [
+            "engine.events_dropped",
+            "engine.events_delayed",
+            "engine.events_duplicated",
+            "engine.faults_injected",
+        ] {
+            metrics.counter_add(key, 0);
+        }
         let task_reports: Vec<TaskReport> = self
             .tasks
             .iter()
@@ -978,29 +1021,13 @@ impl CoSim {
                 core,
                 bytes_per_period,
             } => {
-                let min_packet = self
-                    .tasks
-                    .iter()
-                    .filter(|t| t.spec.core == core)
-                    .map(|t| t.spec.bytes_per_packet)
-                    .max()
-                    .unwrap_or(0);
-                let guaranteed = self.guaranteed;
-                let mg = self.memguard.memguard_mut();
-                if core >= mg.cores() || bytes_per_period < min_packet {
-                    self.controls_refused += 1;
-                    return;
-                }
-                let old = mg.budget(core);
-                mg.set_budget(core, bytes_per_period);
-                if guaranteed > 0.0 && !mg.is_feasible(guaranteed) {
-                    mg.set_budget(core, old);
-                    self.controls_refused += 1;
-                } else {
+                if self.try_set_budget(core, bytes_per_period) {
                     self.controls_applied += 1;
                     if let Some(q) = self.qos.as_mut() {
                         q.note_budget(core, bytes_per_period);
                     }
+                } else {
+                    self.controls_refused += 1;
                 }
             }
             ControlCommand::StopTask { task } => {
@@ -1014,9 +1041,12 @@ impl CoSim {
         }
     }
 
-    /// Retunes one core's budget on behalf of the closed loop, under the
-    /// same admission guards as a scripted [`ControlCommand::SetBudget`].
-    fn loop_set_budget(&mut self, core: usize, bytes_per_period: u64) -> bool {
+    /// Sets one core's budget, for a scripted [`ControlCommand::SetBudget`]
+    /// or the closed loop, if it passes admission: the core exists, the
+    /// budget fits the core's largest packet, and the guaranteed bandwidth
+    /// stays feasible (otherwise the old budget is restored). Returns
+    /// whether the budget was applied.
+    fn try_set_budget(&mut self, core: usize, bytes_per_period: u64) -> bool {
         let min_packet = self
             .tasks
             .iter()
@@ -1109,7 +1139,7 @@ impl CoSim {
                     core,
                     bytes_per_period,
                 } => {
-                    if self.loop_set_budget(core, bytes_per_period) {
+                    if self.try_set_budget(core, bytes_per_period) {
                         q.loop_adjustments += 1;
                         q.note_budget(core, bytes_per_period);
                     }
@@ -1155,6 +1185,7 @@ impl Process for CoSim {
     type Event = CoSimEvent;
 
     fn handle(&mut self, event: CoSimEvent, sink: &mut dyn EventSink<CoSimEvent>) {
+        self.deliveries[event.index()] += 1;
         match event {
             CoSimEvent::Noc(ev) => {
                 self.noc
@@ -1235,18 +1266,6 @@ impl Process for CoSim {
             CoSimEvent::Epoch => {
                 self.qos_epoch(sink);
             }
-        }
-    }
-
-    fn tag(&self, event: &CoSimEvent) -> &'static str {
-        match event {
-            CoSimEvent::Noc(_) => "noc.tick",
-            CoSimEvent::Regulation(_) => "memguard.replenish",
-            CoSimEvent::Release(_) => "sched.release",
-            CoSimEvent::ComputeDone(..) => "sched.compute_done",
-            CoSimEvent::Resume(_) => "regulation.resume",
-            CoSimEvent::Control(_) => "cosim.control",
-            CoSimEvent::Epoch => "qos.epoch",
         }
     }
 }

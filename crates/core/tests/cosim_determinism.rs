@@ -69,6 +69,23 @@ fn different_seeds_diverge_under_probabilistic_faults() {
     );
 }
 
+/// Byte-compares a run's JSON export against a committed golden file.
+/// Unlike the double-run tests above, this catches an export that changes
+/// between commits: key set, counts, and fault redelivery behaviour.
+fn assert_matches_golden(cfg: CoSimConfig, name: &str) {
+    let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let json = CoSim::new(cfg).run().metrics.to_json();
+    assert!(json == golden, "co-sim export drifted from {path}:\n{json}");
+}
+
+#[test]
+fn exports_match_the_golden_files() {
+    assert_matches_golden(CoSimConfig::small(), "cosim_small.json");
+    assert_matches_golden(CoSimConfig::small_qos(), "cosim_small_qos.json");
+    assert_matches_golden(faulted_config(42), "cosim_faulted.json");
+}
+
 #[test]
 fn fault_free_runs_are_also_deterministic() {
     let mut cfg = CoSimConfig::small();

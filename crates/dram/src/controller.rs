@@ -550,10 +550,6 @@ impl Process for Run<'_> {
         });
         sink.schedule_at(finished, DramEvent::Kick);
     }
-
-    fn tag(&self, _event: &DramEvent) -> &'static str {
-        "dram.kick"
-    }
 }
 
 /// The controller instance whose worst case the WCD analysis of §IV-A

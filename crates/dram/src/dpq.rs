@@ -325,10 +325,6 @@ impl Process for DpqRun<'_> {
         });
         sink.schedule_at(done, DramEvent::Kick);
     }
-
-    fn tag(&self, _event: &DramEvent) -> &'static str {
-        "dpq.kick"
-    }
 }
 
 /// Builds the workload that saturates the DPQ bound: every one of

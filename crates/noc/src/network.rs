@@ -620,10 +620,6 @@ impl Process for NocSim {
         self.step();
         self.pump(sink);
     }
-
-    fn tag(&self, _event: &NocEvent) -> &'static str {
-        "noc.tick"
-    }
 }
 
 #[cfg(test)]

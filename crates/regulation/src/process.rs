@@ -81,10 +81,6 @@ impl Process for MemGuardProcess {
             sink.schedule_at(next, RegulationEvent::Replenish);
         }
     }
-
-    fn tag(&self, _event: &RegulationEvent) -> &'static str {
-        "memguard.replenish"
-    }
 }
 
 /// [`PerBankMemGuard`] driven by periodic replenishment events, the exact
@@ -147,10 +143,6 @@ impl Process for PerBankProcess {
         if next <= self.horizon {
             sink.schedule_at(next, RegulationEvent::Replenish);
         }
-    }
-
-    fn tag(&self, _event: &RegulationEvent) -> &'static str {
-        "perbank.replenish"
     }
 }
 

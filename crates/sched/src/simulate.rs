@@ -263,13 +263,6 @@ impl Process for GlobalFp<'_> {
             }
         }
     }
-
-    fn tag(&self, event: &SchedEvent) -> &'static str {
-        match event {
-            SchedEvent::Release(_) => "sched.release",
-            SchedEvent::Check(_) => "sched.check",
-        }
-    }
 }
 
 /// Simulates global preemptive fixed-priority scheduling of `tasks`

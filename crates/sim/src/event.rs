@@ -18,7 +18,7 @@
 //! # Calendar structure
 //!
 //! Time (integer picoseconds) is divided into buckets of `2^shift` ps. A
-//! ring of [`NUM_BUCKETS`] buckets covers the *near window*
+//! ring of `NUM_BUCKETS` buckets covers the *near window*
 //! `[base_bucket, base_bucket + NUM_BUCKETS)` of bucket indices; events
 //! beyond it wait in a min-heap overflow tier. Only the bucket under the
 //! cursor is ever sorted, and even that lazily: inserts into it just
@@ -259,21 +259,9 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Discards all pending events. Sequence numbering continues — a
-    /// cleared queue still orders later schedules after earlier ones.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.overflow.clear();
-        self.cursor_dirty = false;
-        self.near_len = 0;
-        self.len = 0;
-    }
-
     /// The sequence number the next [`schedule`](Self::schedule) will use.
     /// Strictly monotonic over the queue's lifetime (including across
-    /// bucket-epoch rollovers and [`clear`](Self::clear)).
+    /// bucket-epoch rollovers).
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
@@ -483,11 +471,6 @@ impl<E> HeapEventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> Default for HeapEventQueue<E> {
@@ -536,26 +519,6 @@ mod tests {
         q.schedule(SimTime::from_ns(2.0), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(2.0)));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn clear_does_not_reset_sequence_numbers() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 0);
-        let seq_before = q.next_seq();
-        q.clear();
-        assert_eq!(q.next_seq(), seq_before);
-        q.schedule(SimTime::ZERO, 1);
-        assert_eq!(q.next_seq(), seq_before + 1);
     }
 
     #[test]

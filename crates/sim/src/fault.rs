@@ -5,7 +5,7 @@
 //! *fault model*: a [`FaultPlan`] describes which faults occur — scripted
 //! ("drop the 1st `confMsg`") or probabilistic ("1% of messages are lost")
 //! — and a [`FaultInjector`] executes the plan reproducibly from a `u64`
-//! seed, emitting [`TraceEntry`] records with `source = "fault"` so tests
+//! seed, emitting [`TraceEntry`](crate::TraceEntry) records with `source = "fault"` so tests
 //! can assert on exactly what was injected.
 //!
 //! Message faults are expressed as a verdict on each sent message

@@ -37,7 +37,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Engine, EventSink, MapSink, Process, Scheduler};
+pub use engine::{Engine, EventSink, MapSink, Process};
 pub use event::EventQueue;
 pub use fault::{
     ClientFault, FaultInjector, FaultPlan, MessageFault, ScriptedSensorFault, SensorFault,
