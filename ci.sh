@@ -144,4 +144,20 @@ cargo run -q -p autoplat-bench --bin perf_check -- \
     --baseline BENCH_campaign.json --fresh "$SMOKE_DIR/campaign.json" \
     --min-ratio "${PERF_BASELINE_RATIO:-0.25}"
 
+echo "== perfbench digests (benchmark outputs match the committed table) =="
+# perfbench is a workspace of its own; --locked keeps the build from
+# rewriting perfbench/Cargo.lock. Every (workload, seed) row of
+# perfbench/expected_digests.txt must reproduce byte for byte.
+cargo build -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+PERFBENCH=perfbench/target/release/autoplat-perfbench
+DIGEST_SEEDS="$(seq -s, 0 20),4242"
+{
+    for w in cosim_qos campaign_grid fleet_admission; do
+        "$PERFBENCH" --workload "$w" --print-digests "$DIGEST_SEEDS"
+    done
+    "$PERFBENCH" --workload paper_figures --print-digests 0
+} | LC_ALL=C sort > "$SMOKE_DIR/perfbench_digests.txt"
+grep -v '^#' perfbench/expected_digests.txt | LC_ALL=C sort \
+    | diff - "$SMOKE_DIR/perfbench_digests.txt"
+
 echo "ci: OK"

@@ -6,6 +6,22 @@
 //! decided against a snapshot of buffer occupancy and applied atomically,
 //! so the simulation is order-independent and deterministic.
 //!
+//! A cycle costs what is in flight, not the mesh size. The network keeps
+//! a count of flits buffered in routers (+1 per source injection, −1 per
+//! ejection); while it is zero no router is visited at all. Otherwise
+//! only routers with a buffered flit decide anything: an empty router has
+//! no head flit, so a locked output would see a bubble and an unlocked
+//! one would have no candidate, and neither changes a lock or a
+//! round-robin pointer. Within a router, each waiting head flit is routed
+//! once per cycle, and only outputs that are locked or requested are
+//! arbitrated.
+//!
+//! No per-cycle reservation of downstream buffer slots is needed: input
+//! port `p` of router `d` is fed by exactly one (router, output) pair —
+//! the neighbour of `d` towards `p`, through output `p.opposite()` — and
+//! that pair is decided once per cycle. So the space seen in the snapshot
+//! is never claimed twice.
+//!
 //! Time advances through [`autoplat_sim::Engine`]: [`NocSim`] implements
 //! [`Process`] and activates itself with [`NocEvent::Tick`] events only
 //! while flits are queued or buffered, jumping over idle gaps between
@@ -104,6 +120,7 @@ pub enum NocEvent {
 }
 
 /// A decided flit movement (phase A result).
+#[derive(Debug)]
 enum Move {
     Forward {
         from: usize,
@@ -150,9 +167,14 @@ pub struct NocSim {
     /// any; stale (superseded) ticks are recognised and ignored.
     scheduled: Option<SimTime>,
     latency: Summary,
-    /// Flit traversals per directed link, keyed by (router, output port).
-    /// Ordered so hotspot reports are deterministic.
-    link_flits: BTreeMap<(u32, usize), u64>,
+    /// Flits buffered in routers: +1 per source injection, −1 per
+    /// ejection. Zero means no router has anything to decide.
+    buffered: usize,
+    /// Phase-A decisions of the current cycle; kept to reuse its storage.
+    moves: Vec<Move>,
+    /// Flit traversals per directed link, indexed `router * 5 + output
+    /// port`.
+    link_flits: Vec<u64>,
 }
 
 impl NocSim {
@@ -183,7 +205,9 @@ impl NocSim {
             cycle_time,
             scheduled: None,
             latency: Summary::new(),
-            link_flits: BTreeMap::new(),
+            buffered: 0,
+            moves: Vec::new(),
+            link_flits: vec![0; mesh.nodes() as usize * 5],
         }
     }
 
@@ -254,27 +278,23 @@ impl NocSim {
             if can_release && self.routers[n].has_space(Direction::Local) {
                 let (flit, _) = self.sources[n].pop_front().expect("front exists");
                 self.routers[n].push(Direction::Local, flit);
+                self.buffered += 1;
             }
         }
 
-        // Phase A: decide one movement per (router, output port).
-        let mut moves: Vec<Move> = Vec::new();
-        // Downstream ports that already have an incoming flit this cycle.
-        let mut reserved: Vec<[bool; 5]> = vec![[false; 5]; self.routers.len()];
-        for r in 0..self.routers.len() {
-            for out in 0..5 {
-                let decided = self.decide_output(r, out, &reserved);
-                if let Some(mv) = decided {
-                    if let Move::Forward { to, to_port, .. } = mv {
-                        reserved[to][to_port.index()] = true;
-                    }
-                    moves.push(mv);
+        // Phase A: decide at most one movement per (router, output port).
+        // A router with nothing buffered has nothing to decide.
+        let mut moves = std::mem::take(&mut self.moves);
+        if self.buffered > 0 {
+            for r in 0..self.routers.len() {
+                if self.routers[r].total_buffered() > 0 {
+                    self.decide_router(r, &mut moves);
                 }
             }
         }
 
         // Phase B: apply.
-        for mv in moves {
+        for mv in moves.drain(..) {
             match mv {
                 Move::Forward {
                     from,
@@ -283,14 +303,12 @@ impl NocSim {
                     to_port,
                 } => {
                     let flit = self.routers[from].pop(in_port).expect("decided flit");
-                    *self
-                        .link_flits
-                        .entry((from as u32, to_port.opposite().index()))
-                        .or_default() += 1;
+                    self.link_flits[from * 5 + to_port.opposite().index()] += 1;
                     self.routers[to].push(to_port, flit);
                 }
                 Move::Eject { from, in_port } => {
                     let flit = self.routers[from].pop(in_port).expect("decided flit");
+                    self.buffered -= 1;
                     if flit.kind.is_tail() {
                         let (packet, injected_at) = self
                             .in_flight
@@ -308,90 +326,108 @@ impl NocSim {
                 }
             }
         }
+        self.moves = moves;
         self.now += self.cycle_time;
     }
 
-    /// Decides the movement for output port `out` of router `r`.
-    fn decide_output(&mut self, r: usize, out: usize, reserved: &[[bool; 5]]) -> Option<Move> {
+    /// Decides the movements of router `r` into `moves`, one output port
+    /// at a time in port order.
+    fn decide_router(&mut self, r: usize, moves: &mut Vec<Move>) {
+        // Route each waiting head flit once: `wants[p]` is the output the
+        // head flit at input `p` requests. Buffers do not change during
+        // phase A, so this holds for every output of this cycle.
+        let node = self.routers[r].node();
+        let mut wants = [None; 5];
+        for (p, want) in wants.iter_mut().enumerate() {
+            if let Some(f) = self.routers[r].head_flit(p) {
+                if f.kind.is_head() {
+                    *want = Some(self.mesh.route_xy(node, f.dest).index());
+                }
+            }
+        }
+        for out in 0..5 {
+            // An unlocked output nobody requests has nothing to decide.
+            let lock = self.routers[r].lock(out);
+            if lock.is_none() && !wants.contains(&Some(out)) {
+                continue;
+            }
+            if let Some(mv) = self.decide_output(r, out, lock, &wants) {
+                moves.push(mv);
+            }
+        }
+    }
+
+    /// Decides the movement for output port `out` of router `r`, given
+    /// the output's current `lock` and the outputs its head flits want.
+    fn decide_output(
+        &mut self,
+        r: usize,
+        out: usize,
+        lock: Option<Lock>,
+        wants: &[Option<usize>; 5],
+    ) -> Option<Move> {
         let out_dir = Direction::ALL[out];
         let node = self.routers[r].node();
 
-        // Helper: can the downstream accept a flit this cycle?
+        // Can the downstream accept a flit this cycle? Ejection always
+        // can. An edge port is never used by XY routing.
         let downstream = if out_dir == Direction::Local {
             None
         } else {
-            match self.mesh.neighbor(node, out_dir) {
-                Some(n) => Some(n.0 as usize),
-                None => return None, // edge port: never used by XY routing
-            }
+            Some(self.mesh.neighbor(node, out_dir)?.0 as usize)
         };
-        let space_ok = match downstream {
-            None => true, // ejection is always possible
-            Some(d) => {
-                let port = out_dir.opposite();
-                self.routers[d].has_space(port) && !reserved[d][port.index()]
+        if let Some(d) = downstream {
+            if !self.routers[d].has_space(out_dir.opposite()) {
+                return None;
             }
-        };
-        if !space_ok {
-            return None;
         }
 
-        // Continuing wormhole?
-        if let Some(Lock { in_port, packet }) = self.routers[r].lock(out) {
-            let head = self.routers[r].head_flit(in_port).copied();
-            let flit = match head {
-                Some(f) if f.packet == packet => f,
-                _ => return None, // bubble: hold the path
-            };
-            if flit.kind.is_tail() {
-                self.routers[r].set_lock(out, None);
+        let in_port = match lock {
+            // Continuing wormhole.
+            Some(Lock { in_port, packet }) => {
+                let flit = match self.routers[r].head_flit(in_port) {
+                    Some(f) if f.packet == packet => *f,
+                    _ => return None, // bubble: hold the path
+                };
+                if flit.kind.is_tail() {
+                    self.routers[r].set_lock(out, None);
+                }
+                in_port
             }
-            return Some(match downstream {
-                None => Move::Eject { from: r, in_port },
-                Some(d) => Move::Forward {
-                    from: r,
-                    in_port,
-                    to: d,
-                    to_port: out_dir.opposite(),
-                },
-            });
-        }
-
-        // New wormhole: head flits at input ports routing to this output.
-        // MPAM-style priority partitioning: the highest packet priority
-        // wins arbitration; round-robin breaks ties (§III-B.4).
-        let candidates: Vec<usize> = (0..5)
-            .filter(|&p| match self.routers[r].head_flit(p) {
-                Some(f) if f.kind.is_head() => self.mesh.route_xy(node, f.dest) == out_dir,
-                _ => false,
-            })
-            .collect();
-        let top_priority = candidates
-            .iter()
-            .filter_map(|&p| self.routers[r].head_flit(p).map(|f| f.priority))
-            .max()?;
-        let candidates: Vec<usize> = candidates
-            .into_iter()
-            .filter(|&p| {
-                self.routers[r]
-                    .head_flit(p)
-                    .map(|f| f.priority == top_priority)
-                    == Some(true)
-            })
-            .collect();
-        let in_port = self.routers[r].arbitrate(out, &candidates)?;
-        let flit = *self.routers[r]
-            .head_flit(in_port)
-            .expect("candidate exists");
-        if !flit.kind.is_tail() {
-            self.routers[r].set_lock(
-                out,
-                Some(Lock {
-                    in_port,
-                    packet: flit.packet,
-                }),
-            );
-        }
+            // New wormhole: head flits at input ports routing to this
+            // output. MPAM-style priority partitioning: the highest packet
+            // priority wins arbitration; round-robin breaks ties (§III-B.4).
+            None => {
+                let mut candidates = [0usize; 5];
+                let mut count = 0;
+                let mut top_priority = 0;
+                for p in (0..5).filter(|&p| wants[p] == Some(out)) {
+                    let priority = self.routers[r].head_flit(p).expect("routed").priority;
+                    if count == 0 || priority > top_priority {
+                        top_priority = priority;
+                        count = 0;
+                    }
+                    if priority == top_priority {
+                        candidates[count] = p;
+                        count += 1;
+                    }
+                }
+                let in_port = self.routers[r].arbitrate(out, &candidates[..count])?;
+                let flit = *self.routers[r]
+                    .head_flit(in_port)
+                    .expect("candidate exists");
+                if !flit.kind.is_tail() {
+                    self.routers[r].set_lock(
+                        out,
+                        Some(Lock {
+                            in_port,
+                            packet: flit.packet,
+                        }),
+                    );
+                }
+                in_port
+            }
+        };
         Some(match downstream {
             None => Move::Eject { from: r, in_port },
             Some(d) => Move::Forward {
@@ -407,7 +443,7 @@ impl NocSim {
     /// when flits are buffered in routers, at the (cycle-aligned) earliest
     /// source release when only queued traffic remains, or never when idle.
     pub fn next_activation(&self) -> Option<SimTime> {
-        if self.routers.iter().any(|r| r.total_buffered() > 0) {
+        if self.buffered > 0 {
             return Some(self.now);
         }
         self.sources
@@ -486,8 +522,7 @@ impl NocSim {
 
     /// True when no flit is queued or buffered anywhere.
     pub fn is_idle(&self) -> bool {
-        self.sources.iter().all(VecDeque::is_empty)
-            && self.routers.iter().all(|r| r.total_buffered() == 0)
+        self.buffered == 0 && self.sources.iter().all(VecDeque::is_empty)
     }
 
     /// Completed packets, in completion order.
@@ -522,7 +557,7 @@ impl NocSim {
     /// Flits sent on the directed link leaving `node` towards `dir`.
     pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
         self.link_flits
-            .get(&(node.0, dir.index()))
+            .get(node.0 as usize * 5 + dir.index())
             .copied()
             .unwrap_or(0)
     }
@@ -552,7 +587,7 @@ impl NocSim {
     pub fn publish_metrics(&self, metrics: &mut MetricsRegistry) {
         metrics.counter_add("noc.packets_delivered", self.completed.len() as u64);
         metrics.counter_add("noc.cycles", self.cycle());
-        metrics.counter_add("noc.flits_sent", self.link_flits.values().sum());
+        metrics.counter_add("noc.flits_sent", self.link_flits.iter().sum());
         for rec in &self.completed {
             metrics.observe("noc.packet_latency_cycles", rec.latency_cycles() as f64);
         }
@@ -582,20 +617,21 @@ impl NocSim {
 
     /// The most-utilized directed link and its utilization, if any flit
     /// moved — the congestion hotspot report. Ties resolve to the highest
-    /// (node, direction) key: `link_flits` is ordered, so the answer is
-    /// deterministic run to run.
+    /// (node, direction): `link_flits` is indexed in that order, so the
+    /// answer is deterministic run to run.
     pub fn hottest_link(&self) -> Option<(NodeId, Direction, f64)> {
         self.link_flits
             .iter()
-            .max_by_key(|(_, &count)| count)
-            .map(|(&(node, dir_idx), &count)| {
-                let dir = Direction::ALL[dir_idx];
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .max_by_key(|&(_, &count)| count)
+            .map(|(link, &count)| {
                 let util = if self.cycle() == 0 {
                     0.0
                 } else {
                     count as f64 / self.cycle() as f64
                 };
-                (NodeId(node), dir, util)
+                (NodeId((link / 5) as u32), Direction::ALL[link % 5], util)
             })
     }
 }
@@ -639,18 +675,34 @@ mod tests {
                 n.inject(Packet::new(i, NodeId(i as u32 % 4), NodeId(15), 4), i * 500);
             }
         };
-        let mut dense = noc(4, 4);
-        sparse(&mut dense);
-        dense.run_cycles_dense(6_000);
-        let mut event = noc(4, 4);
-        sparse(&mut event);
-        event.run_cycles(6_000);
-        assert_eq!(dense.now(), event.now());
-        assert_eq!(dense.completed().len(), event.completed().len());
-        for (d, e) in dense.completed().iter().zip(event.completed()) {
-            assert_eq!(d, e, "per-packet records must agree");
+        let contended = |n: &mut NocSim| {
+            // Bursts of mixed-priority packets into one corner, 1000
+            // cycles apart: the event path must wake for each burst and
+            // keep ticking until the backed-up 1-flit buffers drain.
+            for i in 0..48u64 {
+                let packet = Packet::new(i, NodeId(i as u32 % 15), NodeId(15), 3)
+                    .with_priority((i % 3) as u8);
+                n.inject(packet, (i / 16) * 1_000);
+            }
+        };
+        for (traffic, config) in [
+            (&sparse as &dyn Fn(&mut NocSim), NocConfig::new(4, 4)),
+            (&contended, NocConfig::new(4, 4).with_buffer_flits(1)),
+        ] {
+            let mut dense = NocSim::new(config);
+            traffic(&mut dense);
+            dense.run_cycles_dense(6_000);
+            let mut event = NocSim::new(config);
+            traffic(&mut event);
+            event.run_cycles(6_000);
+            assert!(dense.is_idle() && event.is_idle(), "window drains");
+            assert_eq!(dense.now(), event.now());
+            assert_eq!(dense.completed().len(), event.completed().len());
+            for (d, e) in dense.completed().iter().zip(event.completed()) {
+                assert_eq!(d, e, "per-packet records must agree");
+            }
+            assert_eq!(dense.latency_cycles().mean(), event.latency_cycles().mean());
         }
-        assert_eq!(dense.latency_cycles().mean(), event.latency_cycles().mean());
     }
 
     #[test]

@@ -35,6 +35,39 @@ proptest! {
     }
 
     #[test]
+    fn buffered_flit_count_tracks_idleness(
+        cols in 1u32..5,
+        rows in 1u32..5,
+        buffer in 1usize..4,
+        specs in proptest::collection::vec(
+            (0u32..100, 0u32..100, 1u32..6, 0u64..100, 0u8..3),
+            1..40,
+        ),
+    ) {
+        // `is_idle` and `next_activation` read the network's count of
+        // buffered flits; a drifting count would stall or spin the
+        // event-driven path.
+        let mut noc = NocSim::new(
+            NocConfig::new(cols, rows).with_buffer_flits(buffer),
+        );
+        let nodes = cols * rows;
+        for (i, &(s, d, flits, at, priority)) in specs.iter().enumerate() {
+            let packet = Packet::new(i as u64, NodeId(s % nodes), NodeId(d % nodes), flits)
+                .with_priority(priority);
+            noc.inject(packet, at);
+        }
+        let mut steps = 0u64;
+        while !noc.is_idle() {
+            noc.step();
+            steps += 1;
+            prop_assert_eq!(noc.is_idle(), noc.in_flight() == 0);
+            prop_assert_eq!(noc.next_activation().is_none(), noc.is_idle());
+            prop_assert!(steps < 1_000_000, "must drain");
+        }
+        prop_assert_eq!(noc.completed().len(), specs.len());
+    }
+
+    #[test]
     fn latency_at_least_zero_load_lower_bound(
         cols in 2u32..6,
         src in 0u32..36,
