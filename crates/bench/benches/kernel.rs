@@ -1,5 +1,6 @@
 //! Criterion bench for the event kernel: queue schedule/pop throughput
-//! (calendar vs the retained `BinaryHeap` baseline), engine chain and
+//! (calendar vs the retained `BinaryHeap` baseline, dense and sparse
+//! hold, bursts and ties), engine chain and
 //! same-instant batch delivery, the co-sim kick path, and the
 //! event-driven vs dense NoC stepping ratio.
 //!
@@ -10,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use autoplat_bench::perf::{
-    burst, cosim_kick, engine_batches, engine_chain, hold_model, sparse_noc, tie_burst,
+    burst, cosim_kick, engine_batches, engine_chain, hold_model, sparse_hold, sparse_noc, tie_burst,
 };
 use autoplat_sim::event::HeapEventQueue;
 use autoplat_sim::{EventQueue, SimTime};
@@ -22,6 +23,12 @@ fn bench_queue(c: &mut Criterion) {
     });
     group.bench_function("heap_hold_4k_x_200k", |b| {
         b.iter(|| hold_model::<HeapEventQueue<u64>>(4_096, 200_000));
+    });
+    group.bench_function("calendar_sparse_16_x_200k", |b| {
+        b.iter(|| sparse_hold::<EventQueue<u64>>(200_000));
+    });
+    group.bench_function("heap_sparse_16_x_200k", |b| {
+        b.iter(|| sparse_hold::<HeapEventQueue<u64>>(200_000));
     });
     group.bench_function("calendar_burst_100k", |b| {
         b.iter(|| burst::<EventQueue<u64>>(100_000));

@@ -103,6 +103,8 @@ fn main() {
         &[
             "kernel.queue.calendar.hold_events_per_sec",
             "kernel.queue.heap.hold_events_per_sec",
+            "kernel.queue.calendar.sparse_events_per_sec",
+            "kernel.queue.heap.sparse_events_per_sec",
             "kernel.queue.calendar.burst_events_per_sec",
             "kernel.queue.heap.burst_events_per_sec",
             "kernel.queue.calendar.ties_events_per_sec",

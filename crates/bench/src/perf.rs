@@ -136,6 +136,29 @@ pub fn hold_model<Q: BenchQueue>(population: u64, ops: u64) -> u64 {
     checksum
 }
 
+/// Sparse hold model: 16 pending events, each popped event replaced by one
+/// a uniform 1 ps–2 ms later. This is the scheduler's shape — a few task
+/// releases and completion checks spread over milliseconds — where most
+/// calendar buckets between two pending events are empty. Returns events
+/// cycled through the queue (checksum-guarded).
+pub fn sparse_hold<Q: BenchQueue>(ops: u64) -> u64 {
+    const PENDING: u64 = 16;
+    const MAX_DELAY_PS: u64 = 2_000_000_000;
+    let mut q = Q::default();
+    let mut rng = SimRng::seed_from(0x5BA5);
+    for i in 0..PENDING {
+        q.schedule(SimTime::from_ps(rng.gen_range(1..=MAX_DELAY_PS)), i);
+    }
+    let mut checksum = 0u64;
+    for _ in 0..ops {
+        let (t, p) = q.pop().expect("population stays constant");
+        checksum = checksum.wrapping_add(p ^ t.as_ps());
+        let delay = rng.gen_range(1..=MAX_DELAY_PS);
+        q.schedule(t + SimDuration::from_ps(delay), p);
+    }
+    checksum
+}
+
 /// Burst model: schedule `n` events at seeded random times, then drain the
 /// queue dry. Exercises bucket distribution + per-bucket sorting against
 /// the heap's `O(n log n)`.
@@ -256,7 +279,8 @@ fn events_per_sec<F: FnOnce() -> u64>(f: F) -> (u64, f64) {
 
 /// Measures every kernel workload at `scale` and publishes the results:
 /// `kernel.queue.<impl>.*_events_per_sec` gauges for both queue
-/// implementations (plus the calendar-vs-heap speedup), and
+/// implementations (hold, sparse hold, burst and ties, plus the
+/// calendar-vs-heap hold speedup), and
 /// `kernel.engine.*` for the chain and batched-delivery paths. Counters
 /// record the workload sizes.
 pub fn kernel_baselines(scale: PerfScale) -> MetricsRegistry {
@@ -282,6 +306,11 @@ pub fn kernel_baselines(scale: PerfScale) -> MetricsRegistry {
             format!("kernel.queue.{name}.hold_events_per_sec"),
             hold_rate,
         );
+        let (_, rate) = events_per_sec(|| {
+            sparse_hold::<Q>(scale.hold_ops);
+            scale.hold_ops
+        });
+        m.gauge_set(format!("kernel.queue.{name}.sparse_events_per_sec"), rate);
         let (_, rate) = events_per_sec(|| burst::<Q>(scale.burst_events));
         m.gauge_set(format!("kernel.queue.{name}.burst_events_per_sec"), rate);
         let (_, rate) = events_per_sec(|| tie_burst::<Q>(scale.tie_events, scale.tie_instants));
@@ -362,6 +391,9 @@ mod tests {
         let a = hold_model::<EventQueue<u64>>(64, 2_000);
         let b = hold_model::<HeapEventQueue<u64>>(64, 2_000);
         assert_eq!(a, b);
+        let a = sparse_hold::<EventQueue<u64>>(20_000);
+        let b = sparse_hold::<HeapEventQueue<u64>>(20_000);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -398,6 +430,10 @@ mod tests {
         assert!(kernel
             .to_json()
             .contains("kernel.queue.heap.hold_events_per_sec"));
+        for name in ["calendar", "heap"] {
+            let key = format!("kernel.queue.{name}.sparse_events_per_sec");
+            assert!(kernel.gauge(&key).is_some(), "{key}");
+        }
         assert!(cosim.to_json().contains("cosim.kick.events_per_sec"));
     }
 }

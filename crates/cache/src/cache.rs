@@ -1,7 +1,5 @@
 //! The partition-aware set-associative cache model.
 
-use std::collections::HashMap;
-
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Lru, RandomReplacement, ReplacementPolicy, TreePlru};
 
@@ -125,12 +123,28 @@ struct Line {
     owner: FlowId,
 }
 
+/// Everything the cache keeps about one flow. An entry exists once the
+/// flow is configured or accesses; `None` fields read as the defaults.
+#[derive(Debug, Clone, Copy)]
+struct FlowState {
+    flow: FlowId,
+    mask: Option<u64>,
+    max_lines: Option<u64>,
+    /// `Some` once the flow has accessed since the last reset.
+    stats: Option<FlowStats>,
+}
+
 /// A set-associative cache with per-flow way allocation masks.
 ///
 /// Lookups search **all** ways (a flow always hits on its cached lines,
 /// even outside its partition — partitioning restricts *allocation*, which
 /// is exactly the DSU/MPAM semantics). On a miss the victim is chosen only
 /// among the ways enabled in the flow's allocation mask.
+///
+/// Per-flow state (mask, line cap, statistics) lives in one small vector
+/// searched linearly: callers label a handful of flows (one per core,
+/// task or scheme ID), so a scan beats hashing, and an access looks up
+/// its own flow once and its victim's owner at most once more.
 ///
 /// # Examples
 ///
@@ -146,9 +160,7 @@ pub struct SetAssocCache {
     config: CacheConfig,
     lines: Vec<Vec<Option<Line>>>,
     policy: Box<dyn ReplacementPolicy + Send>,
-    masks: HashMap<FlowId, u64>,
-    max_lines: HashMap<FlowId, u64>,
-    stats: HashMap<FlowId, FlowStats>,
+    flows: Vec<FlowState>,
 }
 
 impl SetAssocCache {
@@ -166,9 +178,28 @@ impl SetAssocCache {
                 .map(|_| vec![None; g.ways() as usize])
                 .collect(),
             policy,
-            masks: HashMap::new(),
-            max_lines: HashMap::new(),
-            stats: HashMap::new(),
+            flows: Vec::new(),
+        }
+    }
+
+    /// The state of `flow`, if it has any.
+    fn state(&self, flow: FlowId) -> Option<&FlowState> {
+        self.flows.iter().find(|s| s.flow == flow)
+    }
+
+    /// The index of `flow`'s entry, created empty on first sight.
+    fn entry(&mut self, flow: FlowId) -> usize {
+        match self.flows.iter().position(|s| s.flow == flow) {
+            Some(index) => index,
+            None => {
+                self.flows.push(FlowState {
+                    flow,
+                    mask: None,
+                    max_lines: None,
+                    stats: None,
+                });
+                self.flows.len() - 1
+            }
         }
     }
 
@@ -189,14 +220,14 @@ impl SetAssocCache {
             mask & !self.config.geometry.full_mask() == 0,
             "mask {mask:#x} selects ways beyond the geometry"
         );
-        self.masks.insert(flow, mask);
+        let index = self.entry(flow);
+        self.flows[index].mask = Some(mask);
     }
 
     /// The allocation mask of `flow`.
     pub fn allocation_mask(&self, flow: FlowId) -> u64 {
-        self.masks
-            .get(&flow)
-            .copied()
+        self.state(flow)
+            .and_then(|s| s.mask)
             .unwrap_or_else(|| self.config.geometry.full_mask())
     }
 
@@ -205,12 +236,15 @@ impl SetAssocCache {
     /// the cap, the flow's fills evict its *own* lines, so it cannot grow
     /// at the expense of others. Combinable with allocation masks.
     pub fn set_max_lines(&mut self, flow: FlowId, lines: u64) {
-        self.max_lines.insert(flow, lines);
+        let index = self.entry(flow);
+        self.flows[index].max_lines = Some(lines);
     }
 
     /// The line cap of `flow` (`u64::MAX` when unconfigured).
     pub fn max_lines(&self, flow: FlowId) -> u64 {
-        self.max_lines.get(&flow).copied().unwrap_or(u64::MAX)
+        self.state(flow)
+            .and_then(|s| s.max_lines)
+            .unwrap_or(u64::MAX)
     }
 
     /// Performs one access by `flow` to byte address `addr`.
@@ -218,7 +252,11 @@ impl SetAssocCache {
         let g = self.config.geometry;
         let set = g.set_index(addr);
         let tag = g.tag(addr);
-        let mask = self.allocation_mask(flow);
+        let me = self.entry(flow);
+        let state = &mut self.flows[me];
+        let mask = state.mask.unwrap_or_else(|| g.full_mask());
+        let cap = state.max_lines.unwrap_or(u64::MAX);
+        let stats = state.stats.get_or_insert_default();
         let set_lines = &mut self.lines[set as usize];
 
         // Lookup across all ways.
@@ -227,11 +265,11 @@ impl SetAssocCache {
             .position(|l| l.map(|l| l.tag == tag) == Some(true))
         {
             self.policy.touch(set, way as u32);
-            self.stats.entry(flow).or_default().hits += 1;
+            stats.hits += 1;
             return AccessOutcome::Hit;
         }
 
-        self.stats.entry(flow).or_default().misses += 1;
+        stats.misses += 1;
         if mask == 0 {
             return AccessOutcome::Bypass;
         }
@@ -239,9 +277,7 @@ impl SetAssocCache {
         // Maximum-capacity partitioning: at the cap, the flow may only
         // replace its own lines (keeping its occupancy constant); with no
         // own line in this set, the fill is suppressed entirely.
-        let occupancy = self.stats.get(&flow).map_or(0, |s| s.occupancy);
-        let cap = self.max_lines.get(&flow).copied().unwrap_or(u64::MAX);
-        if occupancy >= cap {
+        if stats.occupancy >= cap {
             let own_mask = (0..g.ways()).fold(0u64, |m, w| match set_lines[w as usize] {
                 Some(l) if l.owner == flow && mask & (1 << w) != 0 => m | (1 << w),
                 _ => m,
@@ -261,7 +297,7 @@ impl SetAssocCache {
         {
             set_lines[way as usize] = Some(Line { tag, owner: flow });
             self.policy.touch(set, way);
-            self.stats.entry(flow).or_default().occupancy += 1;
+            stats.occupancy += 1;
             return AccessOutcome::MissFilled;
         }
 
@@ -270,19 +306,15 @@ impl SetAssocCache {
         let victim = set_lines[way as usize].expect("allowed ways are all full");
         set_lines[way as usize] = Some(Line { tag, owner: flow });
         self.policy.touch(set, way);
-        {
-            let vs = self.stats.entry(victim.owner).or_default();
+        if victim.owner == flow {
+            stats.occupancy = stats.occupancy.saturating_sub(1) + 1;
+        } else {
+            stats.occupancy += 1;
+            stats.evictions_caused_to_others += 1;
+            let owner = self.entry(victim.owner);
+            let vs = self.flows[owner].stats.get_or_insert_default();
             vs.occupancy = vs.occupancy.saturating_sub(1);
-            if victim.owner != flow {
-                vs.evictions_suffered += 1;
-            }
-        }
-        {
-            let fs = self.stats.entry(flow).or_default();
-            fs.occupancy += 1;
-            if victim.owner != flow {
-                fs.evictions_caused_to_others += 1;
-            }
+            vs.evictions_suffered += 1;
         }
         AccessOutcome::MissEvicted {
             victim_owner: victim.owner,
@@ -291,12 +323,17 @@ impl SetAssocCache {
 
     /// Statistics of `flow` (zeroed default if never seen).
     pub fn stats(&self, flow: FlowId) -> FlowStats {
-        self.stats.get(&flow).copied().unwrap_or_default()
+        self.state(flow).and_then(|s| s.stats).unwrap_or_default()
     }
 
     /// All flows with recorded statistics.
     pub fn flows(&self) -> Vec<FlowId> {
-        let mut v: Vec<FlowId> = self.stats.keys().copied().collect();
+        let mut v: Vec<FlowId> = self
+            .flows
+            .iter()
+            .filter(|s| s.stats.is_some())
+            .map(|s| s.flow)
+            .collect();
         v.sort();
         v
     }
@@ -312,12 +349,15 @@ impl SetAssocCache {
             .count() as u64
     }
 
-    /// Invalidates everything and clears statistics.
+    /// Invalidates everything and clears statistics; allocation masks and
+    /// line caps stay.
     pub fn reset(&mut self) {
         for set in &mut self.lines {
             set.fill(None);
         }
-        self.stats.clear();
+        for state in &mut self.flows {
+            state.stats = None;
+        }
     }
 }
 

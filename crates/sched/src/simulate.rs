@@ -11,9 +11,17 @@
 //! Time advances through the shared [`autoplat_sim::Engine`]: job
 //! releases and completion checks are discrete events ([`SchedEvent`]),
 //! so the simulator touches exactly the instants where the schedule can
-//! change instead of spinning a dense `while now < horizon` loop.
+//! change.
+//!
+//! Handling an event allocates nothing once the buffers are warm: each
+//! task's pending jobs wait in their own release-ordered queue, so the
+//! priority order `(task index, release)` is the concatenation of those
+//! queues and the running set is read off their fronts without a sort;
+//! the running set and its predecessor live in two buffers of capacity
+//! `cores` reused across events; worst responses are kept per task index
+//! and folded into the public per-id map once, at the end.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use autoplat_sim::engine::{Engine, EventSink, Process};
 use autoplat_sim::metrics::MetricsRegistry;
@@ -82,9 +90,9 @@ impl SchedOutcome {
     }
 }
 
+/// A released, unfinished job; its task is the queue it waits in.
 #[derive(Debug, Clone)]
 struct Job {
-    task_idx: usize,
     release: SimTime,
     deadline: SimTime,
     remaining: SimDuration,
@@ -107,18 +115,37 @@ pub enum SchedEvent {
 /// displacements (preemptions) and schedules the next completion check.
 /// Completion checks carry a generation number: whenever the running set
 /// is recomputed the generation bumps, so a check scheduled for a
-/// superseded running set is recognised as stale and dropped — the
-/// event-driven analogue of the dense loop recomputing its `next_event`.
+/// superseded running set is recognised as stale and dropped.
+///
+/// The event sequence is part of the result: preemptions are counted at
+/// every event against the previous running set, so the order in which
+/// same-instant releases and checks arrive can change the count. Every
+/// release therefore reschedules, every reschedule with a non-empty
+/// running set bumps the generation and schedules a check, and stale
+/// checks are delivered and ignored rather than skipped or merged.
+///
+/// Invariant: outside [`elapse_to`](Self::elapse_to), every pending job
+/// has non-zero remaining time, because jobs enter with `wcet > 0` and
+/// leave as soon as they reach zero. So "ready" means "pending".
 #[derive(Debug)]
 struct GlobalFp<'a> {
     tasks: &'a [Task],
     cores: usize,
     horizon: SimTime,
-    jobs: Vec<Job>,
-    outcome: SchedOutcome,
+    /// Per task index, its pending jobs in release order. Concatenated in
+    /// task order they are the ready queue in priority order.
+    pending: Vec<VecDeque<Job>>,
     /// Keys `(task_idx, release)` of the jobs chosen to run at the last
-    /// event; doubles as the previous set when the next event recomputes.
-    running_keys: Vec<(usize, SimTime)>,
+    /// event, in priority order: a prefix of the ready queue, so each
+    /// task's running jobs are the front of its queue.
+    running: Vec<(usize, SimTime)>,
+    /// The running set before the current recomputation (scratch reused
+    /// across events).
+    previous: Vec<(usize, SimTime)>,
+    /// Worst observed response per task index, `None` until one of its
+    /// jobs completes.
+    worst: Vec<Option<SimDuration>>,
+    outcome: SchedOutcome,
     /// Time up to which running jobs have been charged.
     last_update: SimTime,
     /// Current running-set generation, for staleness checks.
@@ -131,9 +158,11 @@ impl<'a> GlobalFp<'a> {
             tasks,
             cores,
             horizon,
-            jobs: Vec::new(),
+            pending: vec![VecDeque::new(); tasks.len()],
+            running: Vec::with_capacity(cores),
+            previous: Vec::with_capacity(cores),
+            worst: vec![None; tasks.len()],
             outcome: SchedOutcome::default(),
-            running_keys: Vec::new(),
             last_update: SimTime::ZERO,
             gen: 0,
         }
@@ -144,87 +173,90 @@ impl<'a> GlobalFp<'a> {
     fn elapse_to(&mut self, t: SimTime) {
         let delta = t.saturating_since(self.last_update);
         self.last_update = t;
-        if !delta.is_zero() {
-            for key in &self.running_keys {
-                if let Some(job) = self
-                    .jobs
-                    .iter_mut()
-                    .find(|j| (j.task_idx, j.release) == *key)
-                {
-                    job.remaining = job.remaining.saturating_sub(delta);
+        if delta.is_zero() {
+            return; // nothing ran, so by the invariant nothing completed
+        }
+        for &(i, release) in &self.running {
+            let job = self.pending[i]
+                .iter_mut()
+                .find(|j| j.release == release)
+                .expect("running jobs are pending");
+            job.remaining = job.remaining.saturating_sub(delta);
+            if job.remaining.is_zero() {
+                let response = t - release;
+                let worst = &mut self.worst[i];
+                *worst = Some(worst.map_or(response, |w| w.max(response)));
+                if t > job.deadline {
+                    self.outcome.deadline_misses += 1;
                 }
+                self.outcome.completed_jobs += 1;
             }
         }
-        // Completions: running jobs that just hit zero remaining.
-        let mut done: Vec<usize> = (0..self.jobs.len())
-            .filter(|&j| {
-                self.jobs[j].remaining.is_zero()
-                    && self
-                        .running_keys
-                        .contains(&(self.jobs[j].task_idx, self.jobs[j].release))
-            })
-            .collect();
-        done.sort_unstable_by(|a, b| b.cmp(a));
-        for j in done {
-            let job = self.jobs.remove(j);
-            let response = t - job.release;
-            let id = self.tasks[job.task_idx].id;
-            let worst = self.outcome.worst_response.entry(id).or_default();
-            *worst = (*worst).max(response);
-            if t > job.deadline {
-                self.outcome.deadline_misses += 1;
+        // A task's later job runs only while its earlier ones do, so it
+        // never has less remaining: the finished jobs are queue fronts.
+        for &(i, _) in &self.running {
+            let queue = &mut self.pending[i];
+            while queue.front().is_some_and(|j| j.remaining.is_zero()) {
+                queue.pop_front();
             }
-            self.outcome.completed_jobs += 1;
+            debug_assert!(queue.iter().all(|j| !j.remaining.is_zero()));
         }
     }
 
     /// Recomputes the running set at `t`, counts preemptions against the
     /// previous set and schedules the next completion check.
     fn reschedule(&mut self, t: SimTime, sink: &mut dyn EventSink<SchedEvent>) {
-        // Pick the `cores` highest-priority ready jobs (stable by task
-        // index, then earliest release).
-        let mut ready: Vec<usize> = (0..self.jobs.len())
-            .filter(|&j| !self.jobs[j].remaining.is_zero())
-            .collect();
-        ready.sort_by_key(|&j| (self.jobs[j].task_idx, self.jobs[j].release));
-        let running: Vec<usize> = ready.into_iter().take(self.cores).collect();
-        let new_keys: Vec<(usize, SimTime)> = running
-            .iter()
-            .map(|&j| (self.jobs[j].task_idx, self.jobs[j].release))
-            .collect();
+        // The `cores` highest-priority ready jobs: the first ones of the
+        // ready queue, by task index, then earliest release.
+        std::mem::swap(&mut self.running, &mut self.previous);
+        self.running.clear();
+        let mut min_remaining = SimDuration::MAX;
+        'fill: for (i, queue) in self.pending.iter().enumerate() {
+            for job in queue {
+                if self.running.len() == self.cores {
+                    break 'fill;
+                }
+                self.running.push((i, job.release));
+                min_remaining = min_remaining.min(job.remaining);
+            }
+        }
 
         // Count preemptions: previously-running unfinished jobs displaced.
-        for key in &self.running_keys {
-            let still_exists = self
-                .jobs
-                .iter()
-                .any(|j| (j.task_idx, j.release) == *key && !j.remaining.is_zero());
-            if still_exists && !new_keys.contains(key) {
+        // Jobs leave a queue only from its front, so a previous job is
+        // still pending iff the front was released no later than it.
+        for key @ &(i, release) in &self.previous {
+            let still_pending = self.pending[i]
+                .front()
+                .is_some_and(|j| j.release <= release);
+            if still_pending && !self.running.contains(key) {
                 self.outcome.preemptions += 1;
             }
         }
-        self.running_keys = new_keys;
 
         // Next completion among the running jobs, if any.
-        if let Some(min_remaining) = running
-            .iter()
-            .map(|&j| self.jobs[j].remaining)
-            .min()
-            .filter(|d| !d.is_zero())
-        {
+        if !self.running.is_empty() {
+            debug_assert!(!min_remaining.is_zero(), "pending jobs have work left");
             self.gen += 1;
             sink.schedule_at(t + min_remaining, SchedEvent::Check(self.gen));
         }
     }
 
-    /// Charges the tail interval up to `horizon` and accounts jobs still
-    /// unfinished there, consuming the simulator.
+    /// Charges the tail interval up to `horizon`, accounts jobs still
+    /// unfinished there and folds the per-task worst responses into the
+    /// per-id map (ids may repeat, so the maximum wins), consuming the
+    /// simulator.
     fn finish(mut self, horizon: SimTime) -> SchedOutcome {
         self.elapse_to(horizon);
-        for job in self.jobs.iter().filter(|j| !j.remaining.is_zero()) {
+        for job in self.pending.iter().flatten() {
             self.outcome.incomplete_jobs += 1;
             if job.deadline <= horizon {
                 self.outcome.deadline_misses += 1;
+            }
+        }
+        for (task, worst) in self.tasks.iter().zip(&self.worst) {
+            if let Some(response) = *worst {
+                let entry = self.outcome.worst_response.entry(task.id).or_default();
+                *entry = (*entry).max(response);
             }
         }
         self.outcome
@@ -238,15 +270,14 @@ impl Process for GlobalFp<'_> {
         let t = sink.now();
         match event {
             SchedEvent::Release(i) => {
-                // The dense loop never processed releases landing at the
-                // horizon; keep that boundary semantics.
+                // Releases landing at the horizon are not simulated: a job
+                // released there could not run inside the window.
                 if t >= self.horizon {
                     return;
                 }
                 self.elapse_to(t);
                 let task = &self.tasks[i];
-                self.jobs.push(Job {
-                    task_idx: i,
+                self.pending[i].push_back(Job {
                     release: t,
                     deadline: t + task.deadline,
                     remaining: task.wcet,

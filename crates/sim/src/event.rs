@@ -31,6 +31,18 @@
 //! event and re-derives `shift` from the overflow span, so bucket width
 //! adapts to event density.
 //!
+//! A 1024-bit occupancy map beside the ring (one bit per slot, set on
+//! every push into a slot, cleared when a pop empties the cursor slot)
+//! lets the cursor jump straight to the next occupied slot instead of
+//! stepping through empty buckets one by one, so empty simulated time
+//! costs a few word scans however sparse the schedule. After the jump,
+//! one overflow drain pulls in every entry whose bucket entered the
+//! window. The pop order is the same as a bucket-by-bucket walk's: every
+//! overflow entry's bucket lies at or beyond the old window end, so
+//! beyond every occupied ring slot, and the walk's step-by-step drains
+//! would have put each such entry into the same slot (one the cursor
+//! had just vacated), in the same heap order.
+//!
 //! The orderings of both queues are byte-identical by construction —
 //! pinned by differential property tests in `tests/properties.rs`.
 
@@ -43,6 +55,8 @@ use crate::time::SimTime;
 const NUM_BUCKETS: usize = 1024;
 /// Slot mask: ring slot of global bucket index `b` is `b & BUCKET_MASK`.
 const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
+/// Words in the slot occupancy map, one bit per ring slot.
+const OCCUPANCY_WORDS: usize = NUM_BUCKETS / 64;
 /// Default bucket width exponent: `2^10` ps ≈ 1 ns per bucket, so the near
 /// window spans ~1 µs until the first adaptive re-center.
 const DEFAULT_SHIFT: u32 = 10;
@@ -114,6 +128,9 @@ pub struct EventQueue<E> {
     ///   unless `cursor_dirty` — sorted descending by `(at, seq)`, so the
     ///   global minimum is its last element; other slots are unsorted.
     buckets: Vec<Vec<Entry<E>>>,
+    /// Bit `s % 64` of word `s / 64` is set iff ring slot `s` is
+    /// non-empty.
+    occupied: [u64; OCCUPANCY_WORDS],
     /// Global bucket index under the cursor.
     base_bucket: u64,
     /// The cursor slot has unsorted appends pending; the next access
@@ -138,6 +155,7 @@ impl<E> EventQueue<E> {
         buckets.resize_with(NUM_BUCKETS, Vec::new);
         EventQueue {
             buckets,
+            occupied: [0; OCCUPANCY_WORDS],
             base_bucket: 0,
             cursor_dirty: false,
             shift: DEFAULT_SHIFT,
@@ -161,8 +179,7 @@ impl<E> EventQueue<E> {
             // Re-center the window on the first event, wherever it lands.
             self.base_bucket = entry.at >> self.shift;
             self.cursor_dirty = false; // one entry is trivially sorted
-            let slot = self.cursor_slot();
-            self.buckets[slot].push(entry);
+            self.push_to_slot(self.cursor_slot(), entry);
             self.near_len = 1;
             self.len = 1;
             return;
@@ -176,14 +193,13 @@ impl<E> EventQueue<E> {
             // Cursor bucket (covers anything at or before it): append now,
             // sort lazily on the next access. A burst of k such inserts
             // costs one sort, not k sorted insertions.
-            let slot = self.cursor_slot();
-            self.buckets[slot].push(entry);
+            self.push_to_slot(self.cursor_slot(), entry);
             self.cursor_dirty = true;
             self.near_len += 1;
         } else {
             // Future ring bucket: plain append; sorted when the cursor
             // arrives.
-            self.buckets[(b & BUCKET_MASK) as usize].push(entry);
+            self.push_to_slot((b & BUCKET_MASK) as usize, entry);
             self.near_len += 1;
         }
         self.len += 1;
@@ -205,11 +221,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.ensure_cursor_sorted();
-        let slot = self.cursor_slot();
-        let entry = self.buckets[slot].pop().expect("cursor slot non-empty");
-        self.len -= 1;
-        self.near_len -= 1;
-        self.normalize();
+        let entry = self.pop_cursor_min();
         Some((SimTime::from_ps(entry.at), entry.event))
     }
 
@@ -228,11 +240,7 @@ impl<E> EventQueue<E> {
             Some(entry) if entry.at == at.as_ps() => {}
             _ => return None,
         }
-        let entry = self.buckets[slot].pop().expect("checked above");
-        self.len -= 1;
-        self.near_len -= 1;
-        self.normalize();
-        Some(entry.event)
+        Some(self.pop_cursor_min().event)
     }
 
     /// The fire time of the earliest pending event, if any. O(1) amortized:
@@ -270,9 +278,44 @@ impl<E> EventQueue<E> {
         (self.base_bucket & BUCKET_MASK) as usize
     }
 
-    /// Restores the cursor-slot invariant after a removal: advances the
+    /// Appends `entry` to ring slot `slot` and marks the slot occupied.
+    fn push_to_slot(&mut self, slot: usize, entry: Entry<E>) {
+        self.buckets[slot].push(entry);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Removes the last entry of the (sorted, non-empty) cursor slot,
+    /// clears the slot's occupancy bit if that emptied it, and restores
+    /// the cursor-slot invariant.
+    fn pop_cursor_min(&mut self) -> Entry<E> {
+        let slot = self.cursor_slot();
+        let entry = self.buckets[slot].pop().expect("cursor slot non-empty");
+        if self.buckets[slot].is_empty() {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
+        self.len -= 1;
+        self.near_len -= 1;
+        self.normalize();
+        entry
+    }
+
+    /// The first occupied ring slot at or cyclically after `from`. The
+    /// ring must be non-empty.
+    fn next_occupied_slot(&self, from: usize) -> usize {
+        let mut word = from / 64;
+        let mut bits = self.occupied[word] & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return word * 64 + bits.trailing_zeros() as usize;
+            }
+            word = (word + 1) % OCCUPANCY_WORDS;
+            bits = self.occupied[word];
+        }
+    }
+
+    /// Restores the cursor-slot invariant after a removal: jumps the
     /// cursor to the next non-empty bucket (migrating overflow events whose
-    /// bucket enters the window), or re-centers on the overflow tier when
+    /// bucket entered the window), or re-centers on the overflow tier when
     /// the ring has drained.
     fn normalize(&mut self) {
         if self.len == 0 {
@@ -282,21 +325,20 @@ impl<E> EventQueue<E> {
             self.recenter_on_overflow();
             return;
         }
-        if !self.buckets[self.cursor_slot()].is_empty() {
+        let cursor = self.cursor_slot();
+        if !self.buckets[cursor].is_empty() {
             return;
         }
-        self.cursor_dirty = false;
-        loop {
-            self.base_bucket += 1;
-            // Advancing exposed one new bucket at the window's far end;
-            // pull any overflow events that now fall inside it. (They land
-            // at the far end, never in the new cursor bucket.)
-            self.drain_overflow();
-            if !self.buckets[self.cursor_slot()].is_empty() {
-                self.cursor_dirty = true;
-                return;
-            }
-        }
+        // Every ring entry's bucket lies in the window, so the next
+        // occupied slot at cyclic distance `d` holds bucket
+        // `base_bucket + d`, the earliest one pending.
+        let next = self.next_occupied_slot((cursor + 1) % NUM_BUCKETS);
+        self.base_bucket += ((next + NUM_BUCKETS - cursor) % NUM_BUCKETS) as u64;
+        // The jump exposed `d` new buckets at the window's far end; pull
+        // in the overflow events that now fall inside them. (They land
+        // beyond every occupied slot, never in the new cursor bucket.)
+        self.drain_overflow();
+        self.cursor_dirty = true;
     }
 
     /// Ring empty, overflow not: re-center the window on the earliest
@@ -333,7 +375,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             let entry = self.overflow.pop().expect("checked above").0;
-            self.buckets[(b & BUCKET_MASK) as usize].push(entry);
+            self.push_to_slot((b & BUCKET_MASK) as usize, entry);
             self.near_len += 1;
         }
     }
@@ -359,9 +401,9 @@ impl<E> EventQueue<E> {
         self.shift = shift;
         self.base_bucket = min_at >> shift;
         self.near_len = self.len;
+        self.occupied = [0; OCCUPANCY_WORDS];
         for entry in entries {
-            let slot = ((entry.at >> shift) & BUCKET_MASK) as usize;
-            self.buckets[slot].push(entry);
+            self.push_to_slot(((entry.at >> shift) & BUCKET_MASK) as usize, entry);
         }
         self.cursor_dirty = true;
     }
@@ -588,6 +630,37 @@ mod tests {
         assert_eq!(q.pop_if_at(SimTime::from_ns(4.0)), Some(2));
         assert!(q.is_empty());
         assert_eq!(q.pop_if_at(t), None);
+    }
+
+    #[test]
+    fn jump_wraps_from_the_last_ring_slot_to_the_first() {
+        // Default buckets are 2^10 ps wide. The first event centres the
+        // window on bucket 1023, the ring's last slot; the next ones sit
+        // in buckets 1026 and 1029 (slots 2 and 5, past the wrap) and in
+        // the overflow tier at buckets 2048 and 2049 (slots 0 and 1 once
+        // the window reaches them).
+        let bucket = |b: u64| SimTime::from_ps(b << DEFAULT_SHIFT);
+        let mut cal = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        for (i, b) in [1023, 2049, 1029, 2048, 1026].into_iter().enumerate() {
+            cal.schedule(bucket(b), i);
+            heap.schedule(bucket(b), i);
+        }
+        assert_eq!(cal.cursor_slot(), NUM_BUCKETS - 1);
+        assert_eq!(cal.overflow.len(), 2);
+        let mut cursors = Vec::new();
+        while let Some(popped) = cal.pop() {
+            assert_eq!(Some(popped), heap.pop());
+            assert_eq!(cal.peek_time(), heap.peek_time());
+            cursors.push((cal.base_bucket, cal.cursor_slot()));
+        }
+        assert!(heap.pop().is_none());
+        // 1023 -> 1026 wraps the slot index; the first jump also drains
+        // both overflow events into slots 0 and 1, behind the cursor slot.
+        assert_eq!(
+            cursors,
+            vec![(1026, 2), (1029, 5), (2048, 0), (2049, 1), (2049, 1)]
+        );
     }
 
     #[test]

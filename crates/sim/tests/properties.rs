@@ -5,6 +5,30 @@ use autoplat_sim::event::HeapEventQueue;
 use autoplat_sim::{Engine, EventQueue, Process, SimDuration, SimTime, Summary};
 use proptest::prelude::*;
 
+/// splitmix64: drives the sparse hold model.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// A delay on mixed scales, in ps: the same instant, 1 ps-1 ns,
+    /// 1 µs-2 ms, and rarely 1 s.
+    fn sparse_delay(&mut self) -> u64 {
+        match self.below(256) {
+            0 => 1_000_000_000_000,
+            1..=63 => 0,
+            64..=127 => 1 + self.below(1_000),
+            _ => 1_000_000 + self.below(1_999_000_000),
+        }
+    }
+}
+
 /// Records every delivery `(time, payload)` in the order the engine makes
 /// them, without scheduling anything further.
 struct Recorder {
@@ -137,6 +161,43 @@ proptest! {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    #[test]
+    fn calendar_queue_matches_heap_reference_on_sparse_hold_schedules(
+        seed in any::<u64>(),
+        initial in 1usize..=32,
+    ) {
+        // A hold model on a moving window: each step pops the earliest
+        // event and schedules 0-3 more (one on average, keeping 1-32
+        // pending) at the popped time plus a sparse delay. The long gaps
+        // between occupied buckets carry the cursor across empty runs of
+        // the ring, and 3000 steps wrap it many times.
+        let mut rng = SplitMix(seed);
+        let mut cal = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        let mut payload = 0usize;
+        for _ in 0..initial {
+            let at = SimTime::from_ps(rng.sparse_delay());
+            cal.schedule(at, payload);
+            heap.schedule(at, payload);
+            payload += 1;
+        }
+        for _ in 0..3_000 {
+            let popped = cal.pop();
+            prop_assert_eq!(&popped, &heap.pop());
+            let (now, _) = popped.expect("the hold model never drains");
+            let fresh = [0, 0, 0, 1, 1, 1, 2, 3][rng.below(8) as usize];
+            let fresh = fresh.clamp(usize::from(cal.is_empty()), 32 - cal.len());
+            for _ in 0..fresh {
+                let at = now + SimDuration::from_ps(rng.sparse_delay());
+                cal.schedule(at, payload);
+                heap.schedule(at, payload);
+                payload += 1;
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(cal.peek_time(), heap.peek_time());
         }
     }
 
