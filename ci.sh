@@ -17,11 +17,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 echo "== cargo test (all targets) =="
 cargo test -q --all-targets
 
-echo "== cargo test --release (event queue, scheduler, cache) =="
+echo "== cargo test --release (event queue, scheduler, cache, admission) =="
 # Release builds turn overflow checks and debug_asserts off; the calendar
-# queue's slot arithmetic, the scheduler's time accounting and the
-# cache's per-flow state must hold without them too.
-cargo test --release -q -p autoplat-sim -p autoplat-sched -p autoplat-cache
+# queue's slot arithmetic, the scheduler's time accounting, the cache's
+# per-flow state and the admission RMs' cycle arithmetic and watchdog
+# heap must hold without them too.
+cargo test --release -q -p autoplat-sim -p autoplat-sched -p autoplat-cache \
+    -p autoplat-admission
 
 echo "== metrics export smoke (bench binary + schema gate) =="
 SMOKE_DIR="target/ci-smoke"

@@ -6,7 +6,7 @@
 //! payload explicitly: every send is submitted to an
 //! `autoplat_sim::FaultInjector`, which may deliver it after the nominal
 //! latency, drop it, delay it further, or duplicate it. Deliveries come
-//! back out of [`Link::take_due`] in deterministic `(cycle, send order)`
+//! back out of [`Link::drain_due`] in deterministic `(cycle, send order)`
 //! order, so a scenario with the same fault seed replays bit-identically.
 //!
 //! The link is generic over its payload: [`ControlPlane`] carries
@@ -76,7 +76,8 @@ pub struct Link<T> {
     latency_cycles: u64,
     /// In-flight messages keyed by `(deliver_cycle, submission id)`: the
     /// BTreeMap iteration order *is* the delivery order, deterministic for
-    /// a given seed.
+    /// a given seed. Due messages are popped off its front one by one, so
+    /// a drain allocates nothing.
     in_flight: BTreeMap<(u64, u64), T>,
     next_uid: u64,
     sent: u64,
@@ -144,12 +145,25 @@ impl<T: Payload> Link<T> {
         self.in_flight.keys().next().map(|&(cycle, _)| cycle)
     }
 
+    /// Moves every payload due at or before `now_cycle` to the end of
+    /// `out`, in deterministic delivery order. Callers that drain every
+    /// kick keep `out` and clear it, so draining allocates nothing.
+    pub fn drain_due(&mut self, now_cycle: u64, out: &mut Vec<T>) {
+        while let Some(entry) = self.in_flight.first_entry() {
+            if entry.key().0 > now_cycle {
+                break;
+            }
+            out.push(entry.remove());
+        }
+    }
+
     /// Removes and returns every payload due at or before `now_cycle`,
-    /// in deterministic delivery order.
+    /// in deterministic delivery order: [`drain_due`](Self::drain_due)
+    /// into a fresh `Vec`.
     pub fn take_due(&mut self, now_cycle: u64) -> Vec<T> {
-        let later = self.in_flight.split_off(&(now_cycle + 1, 0));
-        let due = std::mem::replace(&mut self.in_flight, later);
-        due.into_values().collect()
+        let mut due = Vec::new();
+        self.drain_due(now_cycle, &mut due);
+        due
     }
 
     /// The next cycle at which a scripted client fault fires.
@@ -216,6 +230,26 @@ mod tests {
         let apps: Vec<u32> = due.iter().map(|e| e.message.app().0).collect();
         assert_eq!(apps, vec![0, 1, 2]);
         assert!(cp.take_due(10_000).is_empty());
+    }
+
+    #[test]
+    fn drain_due_appends_in_delivery_order_and_leaves_later_messages() {
+        let plan = FaultPlan::new().delay_nth("stopMsg", 1, 5);
+        let mut cp = ControlPlane::new(plan, 1, 10);
+        cp.send(0, stop(0));
+        cp.send(0, stop(1)); // delayed to 15
+        cp.send(3, stop(2));
+        let mut out = vec![stop(9)];
+        cp.drain_due(9, &mut out);
+        assert_eq!(out.len(), 1, "nothing due before cycle 10");
+        cp.drain_due(14, &mut out);
+        let apps: Vec<u32> = out.iter().map(|e| e.message.app().0).collect();
+        assert_eq!(apps, vec![9, 0, 2], "appended after what was there");
+        assert_eq!(cp.next_delivery_cycle(), Some(15));
+        out.clear();
+        cp.drain_due(15, &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(cp.is_empty());
     }
 
     #[test]

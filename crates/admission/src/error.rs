@@ -57,6 +57,13 @@ pub enum AdmissionError {
     /// The RM is in safe mode: previous rates are retained and new
     /// admissions are refused until the degraded client is reclaimed.
     SafeMode,
+    /// A fleet configuration is degenerate: no clusters under the
+    /// hierarchy, a zero wave size or critical stride, or more crashes
+    /// than clients.
+    InvalidFleet {
+        /// What is wrong with it.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -92,6 +99,7 @@ impl std::fmt::Display for AdmissionError {
             AdmissionError::SafeMode => {
                 write!(f, "RM is in safe mode; new admissions are refused")
             }
+            AdmissionError::InvalidFleet { what } => write!(f, "invalid fleet: {what}"),
         }
     }
 }

@@ -17,6 +17,14 @@
 //! admitted) on a lazily-invalidated timer wheel, so the whole fleet
 //! costs O(due work) per kick rather than O(clients).
 //!
+//! A kick also costs what it delivers, not bookkeeping: the planes drain
+//! into buffers the sim keeps across kicks (the drain buffers, the
+//! per-cluster inboxes, the root-bound and down-bound bundle lists), the
+//! wheel reuses the id lists of fired cycles, and the RMs look clients
+//! up in hashed maps and keep their watchdog in a lazily-cleaned heap. A
+//! steady stream of heartbeats therefore allocates nothing per message
+//! beyond the occasional B-tree node of the planes and the wheel.
+//!
 //! Everything is seeded: plane fault injectors derive from
 //! [`FleetConfig::seed`], timers depend only on client ids, and delivery
 //! order is the lossy links' deterministic `(cycle, send order)`. Two
@@ -39,11 +47,14 @@ use autoplat_sim::{
 use crate::app::{AppId, Application, Importance};
 use crate::client::RetryPolicy;
 use crate::control_plane::{BundlePlane, ControlPlane};
+use crate::error::AdmissionError;
 use crate::modes::WeightedPolicy;
-use crate::protocol::{BundleFrame, ClusterId, ControlMessage, Endpoint, Envelope, RootBundle};
+use crate::protocol::{
+    BundleFrame, ClusterBundle, ClusterId, ControlMessage, Endpoint, Envelope, RootBundle,
+};
 use crate::rm::cluster::ClusterRm;
 use crate::rm::root::RootArbiter;
-use crate::rm::{ResourceManager, WatchdogConfig};
+use crate::rm::{earliest, ResourceManager, WatchdogConfig};
 
 /// Which admission topology the fleet runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,9 +203,10 @@ struct FleetClient {
     /// Fresh per-message sequence for acks; `actMsg` always reuses seq 0
     /// so RM-side duplicate suppression absorbs retransmissions.
     next_seq: u64,
-    /// Fire cycle of the currently armed timer. Wheel entries whose
-    /// cycle doesn't match are stale and skipped — re-arming is O(log n)
-    /// with no removal.
+    /// Fire cycle of the currently armed timer. Re-arming never removes
+    /// the client's older wheel entry: an entry whose cycle doesn't match
+    /// is stale and skipped when its cycle fires, so re-arming costs one
+    /// push into the new cycle's id list.
     armed_at: u64,
 }
 
@@ -311,14 +323,68 @@ impl FleetOutcome {
     }
 }
 
+/// The clients' timer wheel: fire cycle → the ids armed for that cycle,
+/// in arm order. Stale entries (client re-armed since) are skipped via
+/// [`FleetClient::armed_at`]. The id lists of fired cycles are cleared
+/// into a spare pool and reused for later cycles, so a steady heartbeat
+/// stream allocates no id lists.
+#[derive(Debug, Default)]
+struct TimerWheel {
+    slots: BTreeMap<u64, Vec<u32>>,
+    spare: Vec<Vec<u32>>,
+}
+
+impl TimerWheel {
+    /// Arms the client's one timer at `at` (the newest arm wins; older
+    /// entries become stale).
+    fn arm(&mut self, client: &mut FleetClient, id: u32, at: u64) {
+        client.armed_at = at;
+        self.slots
+            .entry(at)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push(id);
+    }
+
+    /// The earliest armed cycle.
+    fn next(&self) -> Option<u64> {
+        self.slots.first_key_value().map(|(&cycle, _)| cycle)
+    }
+
+    /// Removes the earliest cycle and its ids, if it is due by `now`.
+    fn pop_due(&mut self, now: u64) -> Option<(u64, Vec<u32>)> {
+        let entry = self.slots.first_entry()?;
+        (*entry.key() <= now).then(|| entry.remove_entry())
+    }
+
+    /// Returns a fired cycle's id list to the pool.
+    fn recycle(&mut self, mut ids: Vec<u32>) {
+        ids.clear();
+        self.spare.push(ids);
+    }
+}
+
+/// Buffers a kick fills and empties again, kept across kicks so that
+/// once they have grown a kick allocates none of them.
+#[derive(Debug, Default)]
+struct KickBuffers {
+    /// What one client plane delivered this kick.
+    delivered: Vec<Envelope>,
+    /// RM-bound envelopes per cluster (the one flat RM's at index 0).
+    inboxes: Vec<Vec<Envelope>>,
+    /// What the bundle plane delivered this kick.
+    frames: Vec<BundleFrame>,
+    /// Cluster bundles bound for the root.
+    to_root: Vec<ClusterBundle>,
+    /// Root bundles per destination cluster.
+    downs: Vec<Vec<RootBundle>>,
+}
+
 /// The fleet simulation: population, planes, topology and timers.
 pub struct FleetSim {
     cfg: FleetConfig,
     clients: Vec<FleetClient>,
-    /// Timer wheel: fire cycle → client ids armed for that cycle. Stale
-    /// entries (client re-armed since) are skipped via
-    /// [`FleetClient::armed_at`].
-    wheel: BTreeMap<u64, Vec<u32>>,
+    wheel: TimerWheel,
+    buffers: KickBuffers,
     topo: Topo,
     counts: Counts,
     next_wave: u32,
@@ -337,13 +403,6 @@ fn derive_seed(master: u64, salt: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Arms the client's one timer at `at` (the newest arm wins; older wheel
-/// entries become stale).
-fn arm(wheel: &mut BTreeMap<u64, Vec<u32>>, client: &mut FleetClient, id: u32, at: u64) {
-    client.armed_at = at;
-    wheel.entry(at).or_default().push(id);
 }
 
 fn actmsg(id: u32, now: u64) -> Envelope {
@@ -370,7 +429,7 @@ fn heartbeat(id: u32, now: u64) -> Envelope {
 /// the client's reply (an ack of a `confMsg`), if any.
 fn deliver_to_client(
     client: &mut FleetClient,
-    wheel: &mut BTreeMap<u64, Vec<u32>>,
+    wheel: &mut TimerWheel,
     counts: &mut Counts,
     heartbeat_interval: u64,
     id: u32,
@@ -388,7 +447,7 @@ fn deliver_to_client(
                 // Stagger first heartbeats by id so a wave of admissions
                 // doesn't heartbeat in lockstep forever.
                 let offset = id as u64 % heartbeat_interval.max(1);
-                arm(wheel, client, id, now + 1 + offset);
+                wheel.arm(client, id, now + 1 + offset);
             }
             let seq = client.next_seq;
             client.next_seq += 1;
@@ -422,13 +481,30 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate parameters: zero `clusters` under the
-    /// hierarchical topology, zero `wave_size`/`critical_every`, or more
-    /// `crashes` than clients.
+    /// Panics on degenerate parameters; use [`FleetSim::try_new`] for a
+    /// typed error.
     pub fn new(cfg: FleetConfig) -> Self {
-        assert!(cfg.wave_size > 0, "wave_size must be positive");
-        assert!(cfg.critical_every > 0, "critical_every must be positive");
-        assert!(cfg.crashes <= cfg.clients, "cannot crash more than exist");
+        FleetSim::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the fleet, rejecting degenerate parameters with
+    /// [`AdmissionError::InvalidFleet`]: zero `clusters` under the
+    /// hierarchical topology, zero `wave_size` or `critical_every`, or
+    /// more `crashes` than clients.
+    pub fn try_new(cfg: FleetConfig) -> Result<Self, AdmissionError> {
+        let invalid = |what| Err(AdmissionError::InvalidFleet { what });
+        if cfg.topology == FleetTopology::Hierarchical && cfg.clusters == 0 {
+            return invalid("the hierarchy needs at least one cluster");
+        }
+        if cfg.wave_size == 0 {
+            return invalid("wave_size must be positive");
+        }
+        if cfg.critical_every == 0 {
+            return invalid("critical_every must be positive");
+        }
+        if cfg.crashes > cfg.clients {
+            return invalid("cannot crash more clients than exist");
+        }
         let app_for = |i: u32| {
             if i.is_multiple_of(cfg.critical_every) {
                 Application::critical(AppId(i), i, cfg.demand_milli)
@@ -466,7 +542,6 @@ impl FleetSim {
                 }
             }
             FleetTopology::Hierarchical => {
-                assert!(cfg.clusters > 0, "hierarchy needs at least one cluster");
                 let mut cluster_rms = Vec::with_capacity(cfg.clusters as usize);
                 let mut planes = Vec::with_capacity(cfg.clusters as usize);
                 for c in 0..cfg.clusters {
@@ -521,9 +596,19 @@ impl FleetSim {
             }
         };
         let total_waves = cfg.clients.div_ceil(cfg.wave_size);
-        FleetSim {
+        let inboxes = match &topo {
+            Topo::Flat { .. } => 1,
+            Topo::Hier { cluster_rms, .. } => cluster_rms.len(),
+        };
+        let buffers = KickBuffers {
+            inboxes: vec![Vec::new(); inboxes],
+            downs: vec![Vec::new(); inboxes],
+            ..KickBuffers::default()
+        };
+        Ok(FleetSim {
             clients: vec![FleetClient::new(); cfg.clients as usize],
-            wheel: BTreeMap::new(),
+            wheel: TimerWheel::default(),
+            buffers,
             topo,
             counts: Counts::default(),
             next_wave: 0,
@@ -534,7 +619,7 @@ impl FleetSim {
             last_transition_cycle: 0,
             kicks: 0,
             cfg,
-        }
+        })
     }
 
     /// Runs the fleet to its horizon on the shared kernel and returns
@@ -573,7 +658,7 @@ impl FleetSim {
                 self.clients[id as usize].attempts = 1;
                 Self::send_upstream(&mut self.topo, self.cfg.clusters, id, actmsg(id, now), now);
                 let at = now + self.cfg.client_retry.backoff_cycles(0);
-                arm(&mut self.wheel, &mut self.clients[id as usize], id, at);
+                self.wheel.arm(&mut self.clients[id as usize], id, at);
             }
         }
     }
@@ -592,7 +677,8 @@ impl FleetSim {
             return;
         }
         self.storm_done = true;
-        let stride = (self.cfg.clients / self.cfg.crashes).max(1);
+        // A storm of zero crashes kills nobody (and must not divide by 0).
+        let stride = (self.cfg.clients / self.cfg.crashes.max(1)).max(1);
         for k in 0..self.cfg.crashes {
             let id = (k * stride) as usize;
             if self.clients[id].phase != Phase::Crashed {
@@ -605,13 +691,22 @@ impl FleetSim {
     /// Drains plane deliveries due at `now` and steps the RMs: client
     /// replies go straight back onto the plane, RM-bound envelopes batch
     /// into one `receive_batch` per RM, and — hierarchically — cluster
-    /// bundles fan through the root.
+    /// bundles fan through the root. Every list it fills is a
+    /// [`KickBuffers`] field, left empty for the next kick.
     fn process_planes(&mut self, now: u64) {
         let heartbeat_interval = self.cfg.heartbeat_interval_cycles;
+        let KickBuffers {
+            delivered,
+            inboxes,
+            frames,
+            to_root,
+            downs,
+        } = &mut self.buffers;
         match &mut self.topo {
             Topo::Flat { rm, plane } => {
-                let mut inbox = Vec::new();
-                for envelope in plane.take_due(now) {
+                let inbox = &mut inboxes[0];
+                plane.drain_due(now, delivered);
+                for envelope in delivered.drain(..) {
                     match envelope.to {
                         Endpoint::Rm => inbox.push(envelope),
                         Endpoint::Client(app) => {
@@ -632,9 +727,10 @@ impl FleetSim {
                 if !inbox.is_empty() {
                     self.queue_depth.record(inbox.len() as f64);
                 }
-                for envelope in rm.receive_batch(&inbox, now) {
+                for envelope in rm.receive_batch(inbox, now) {
                     plane.send(now, envelope);
                 }
+                inbox.clear();
                 for envelope in rm.poll(now) {
                     plane.send(now, envelope);
                 }
@@ -648,10 +744,9 @@ impl FleetSim {
                 root,
             } => {
                 let n = cluster_rms.len();
-                let mut inboxes: Vec<Vec<Envelope>> = Vec::with_capacity(n);
-                for plane in planes.iter_mut() {
-                    let mut inbox = Vec::new();
-                    for envelope in plane.take_due(now) {
+                for (plane, inbox) in planes.iter_mut().zip(inboxes.iter_mut()) {
+                    plane.drain_due(now, delivered);
+                    for envelope in delivered.drain(..) {
                         match envelope.to {
                             Endpoint::Rm => inbox.push(envelope),
                             Endpoint::Client(app) => {
@@ -669,13 +764,11 @@ impl FleetSim {
                             }
                         }
                     }
-                    inboxes.push(inbox);
                 }
-                let mut root_inbox = Vec::new();
-                let mut downs: Vec<Vec<RootBundle>> = vec![Vec::new(); n];
-                for frame in bundle_plane.take_due(now) {
+                bundle_plane.drain_due(now, frames);
+                for frame in frames.drain(..) {
                     match frame {
-                        BundleFrame::Up(bundle) => root_inbox.push(bundle),
+                        BundleFrame::Up(bundle) => to_root.push(bundle),
                         BundleFrame::Down(bundle) => {
                             let c = bundle.to.0 as usize;
                             if c < n {
@@ -685,18 +778,21 @@ impl FleetSim {
                     }
                 }
                 for (c, cluster) in cluster_rms.iter_mut().enumerate() {
+                    let (inbox, down) = (&mut inboxes[c], &mut downs[c]);
                     // Idle shards with no due timer produce nothing;
                     // skipping them is what keeps a kick O(due work).
-                    if downs[c].is_empty()
-                        && inboxes[c].is_empty()
+                    if down.is_empty()
+                        && inbox.is_empty()
                         && cluster.next_deadline().is_none_or(|d| d > now)
                     {
                         continue;
                     }
-                    if !inboxes[c].is_empty() {
-                        self.queue_depth.record(inboxes[c].len() as f64);
+                    if !inbox.is_empty() {
+                        self.queue_depth.record(inbox.len() as f64);
                     }
-                    let step = cluster.step(&downs[c], &inboxes[c], now);
+                    let step = cluster.step(down, inbox, now);
+                    inbox.clear();
+                    down.clear();
                     for envelope in step.to_clients {
                         planes[c].send(now, envelope);
                     }
@@ -704,8 +800,8 @@ impl FleetSim {
                         bundle_plane.send(now, BundleFrame::Up(bundle));
                     }
                 }
-                for bundle in &root_inbox {
-                    if let Some(down) = root.receive(bundle, now) {
+                for bundle in to_root.drain(..) {
+                    if let Some(down) = root.receive(&bundle, now) {
                         bundle_plane.send(now, BundleFrame::Down(down));
                     }
                 }
@@ -719,12 +815,8 @@ impl FleetSim {
     /// Fires every live timer due at `now`: activation retransmissions
     /// (or giving up) and heartbeats.
     fn run_wheel(&mut self, now: u64) {
-        while let Some((&cycle, _)) = self.wheel.iter().next() {
-            if cycle > now {
-                break;
-            }
-            let ids = self.wheel.remove(&cycle).expect("first key exists");
-            for id in ids {
+        while let Some((cycle, ids)) = self.wheel.pop_due(now) {
+            for &id in &ids {
                 let (phase, attempts, armed_at) = {
                     let c = &self.clients[id as usize];
                     (c.phase, c.attempts, c.armed_at)
@@ -747,12 +839,8 @@ impl FleetSim {
                                 actmsg(id, now),
                                 now,
                             );
-                            arm(
-                                &mut self.wheel,
-                                &mut self.clients[id as usize],
-                                id,
-                                now + backoff,
-                            );
+                            self.wheel
+                                .arm(&mut self.clients[id as usize], id, now + backoff);
                         }
                     }
                     Phase::Admitted => {
@@ -763,8 +851,7 @@ impl FleetSim {
                             heartbeat(id, now),
                             now,
                         );
-                        arm(
-                            &mut self.wheel,
+                        self.wheel.arm(
                             &mut self.clients[id as usize],
                             id,
                             now + self.cfg.heartbeat_interval_cycles.max(1),
@@ -773,6 +860,7 @@ impl FleetSim {
                     _ => {}
                 }
             }
+            self.wheel.recycle(ids);
         }
     }
 
@@ -803,17 +891,20 @@ impl FleetSim {
     /// The earliest future cycle with any work, over every plane, RM,
     /// the root, the timer wheel, the next wave and the crash storm.
     fn next_deadline(&self, now: u64) -> Option<u64> {
-        let mut candidates: Vec<Option<u64>> = vec![self.wheel.keys().next().copied()];
+        let mut next = self.wheel.next();
         if self.next_wave < self.total_waves {
-            candidates.push(Some(u64::from(self.next_wave) * self.cfg.wave_interval));
+            next = earliest(
+                next,
+                Some(u64::from(self.next_wave) * self.cfg.wave_interval),
+            );
         }
         if !self.storm_done {
-            candidates.push(self.cfg.crash_at);
+            next = earliest(next, self.cfg.crash_at);
         }
         match &self.topo {
             Topo::Flat { rm, plane } => {
-                candidates.push(plane.next_delivery_cycle());
-                candidates.push(rm.next_deadline());
+                next = earliest(next, plane.next_delivery_cycle());
+                next = earliest(next, rm.next_deadline());
             }
             Topo::Hier {
                 cluster_rms,
@@ -822,20 +913,16 @@ impl FleetSim {
                 root,
             } => {
                 for plane in planes {
-                    candidates.push(plane.next_delivery_cycle());
+                    next = earliest(next, plane.next_delivery_cycle());
                 }
                 for cluster in cluster_rms {
-                    candidates.push(cluster.next_deadline());
+                    next = earliest(next, cluster.next_deadline());
                 }
-                candidates.push(bundle_plane.next_delivery_cycle());
-                candidates.push(root.next_deadline());
+                next = earliest(next, bundle_plane.next_delivery_cycle());
+                next = earliest(next, root.next_deadline());
             }
         }
-        candidates
-            .into_iter()
-            .flatten()
-            .min()
-            .map(|d| d.max(now + 1))
+        next.map(|d| d.max(now + 1))
     }
 
     fn into_outcome(self) -> FleetOutcome {
@@ -1100,6 +1187,78 @@ mod tests {
         let (b, b_json) = run();
         assert_eq!(a, b, "same seed, same outcome");
         assert_eq!(a_json, b_json, "byte-identical metric export");
+    }
+
+    fn invalid(cfg: FleetConfig) -> &'static str {
+        match FleetSim::try_new(cfg) {
+            Err(AdmissionError::InvalidFleet { what }) => what,
+            Err(e) => panic!("wrong error {e}"),
+            Ok(_) => panic!("degenerate config accepted"),
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_a_hierarchy_without_clusters() {
+        let cfg = FleetConfig {
+            clusters: 0,
+            ..small(FleetTopology::Hierarchical)
+        };
+        assert!(invalid(cfg.clone()).contains("cluster"));
+        // The flat topology has no clusters to need.
+        let flat = FleetConfig {
+            topology: FleetTopology::Flat,
+            ..cfg
+        };
+        assert!(FleetSim::try_new(flat).is_ok());
+    }
+
+    #[test]
+    fn try_new_rejects_empty_waves() {
+        let cfg = FleetConfig {
+            wave_size: 0,
+            ..small(FleetTopology::Hierarchical)
+        };
+        assert!(invalid(cfg).contains("wave_size"));
+    }
+
+    #[test]
+    fn try_new_rejects_a_zero_critical_stride() {
+        let cfg = FleetConfig {
+            critical_every: 0,
+            ..small(FleetTopology::Flat)
+        };
+        assert!(invalid(cfg).contains("critical_every"));
+    }
+
+    #[test]
+    fn try_new_rejects_more_crashes_than_clients() {
+        let cfg = FleetConfig {
+            crashes: 121,
+            crash_at: Some(1_000),
+            ..small(FleetTopology::Hierarchical)
+        };
+        assert!(invalid(cfg.clone()).contains("crash"));
+        let all = FleetConfig {
+            crashes: 120,
+            ..cfg.clone()
+        };
+        assert!(
+            FleetSim::try_new(all).is_ok(),
+            "crashing everyone is allowed"
+        );
+        // A storm cycle with nobody to crash is a quiet run, not a panic.
+        let none = FleetSim::new(FleetConfig { crashes: 0, ..cfg }).run();
+        assert!(none.crashed.is_empty());
+        assert_eq!(none.admitted.len(), 120);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fleet")]
+    fn new_panics_with_the_typed_error() {
+        let _ = FleetSim::new(FleetConfig {
+            wave_size: 0,
+            ..FleetConfig::default()
+        });
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use autoplat_sim::SimTime;
 
 use crate::app::AppId;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::modes::SystemMode;
 
 /// A control-layer message.
@@ -216,7 +217,8 @@ pub struct Envelope {
 /// Tracks which sequence numbers have been accepted from each peer; a
 /// duplicated delivery (fault injection or retransmission racing an ack)
 /// is reported once and ignored afterwards. Reordered deliveries are
-/// accepted: the window is a set, not a high-water mark.
+/// accepted: the window is a set, not a high-water mark. Peers and
+/// sequence numbers are only ever looked up, so both levels are hashed.
 ///
 /// # Examples
 ///
@@ -231,7 +233,7 @@ pub struct Envelope {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReceiveState {
-    seen: std::collections::BTreeMap<Endpoint, std::collections::BTreeSet<u64>>,
+    seen: FxHashMap<Endpoint, FxHashSet<u64>>,
     duplicates: u64,
 }
 

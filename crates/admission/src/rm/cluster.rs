@@ -20,10 +20,11 @@
 //! sequence number, so a delayed-then-retransmitted `grantMsg` cannot
 //! double-apply decisions.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::app::AppId;
 use crate::client::RetryPolicy;
+use crate::hash::FxHashMap;
 use crate::modes::RatePolicy;
 use crate::protocol::{BundleItem, ClusterBundle, ClusterId, Envelope, GrantDecision, RootBundle};
 use crate::rm::ResourceManager;
@@ -55,9 +56,12 @@ pub struct ClusterRm<P> {
     retry: RetryPolicy,
     /// Guaranteed milli-rate the root currently holds for each admitted
     /// critical app of this shard; feeds `Release` items on departure.
-    granted: BTreeMap<AppId, u64>,
+    granted: FxHashMap<AppId, u64>,
     /// Parked `actMsg`s awaiting a root decision, keyed by app.
-    awaiting_grant: BTreeMap<AppId, Envelope>,
+    awaiting_grant: FxHashMap<AppId, Envelope>,
+    /// The envelopes a step hands the inner RM, kept across steps so a
+    /// step allocates nothing for them.
+    batch: Vec<Envelope>,
     /// Budget items not yet carried by a reliable bundle.
     outbox: Vec<BundleItem>,
     /// Acks of root decision bundles to piggyback on the next bundle out.
@@ -95,8 +99,9 @@ impl<P: RatePolicy> ClusterRm<P> {
             id,
             inner,
             retry,
-            granted: BTreeMap::new(),
-            awaiting_grant: BTreeMap::new(),
+            granted: FxHashMap::default(),
+            awaiting_grant: FxHashMap::default(),
+            batch: Vec::new(),
             outbox: Vec::new(),
             ack_items: Vec::new(),
             pending: None,
@@ -166,7 +171,7 @@ impl<P: RatePolicy> ClusterRm<P> {
         let mut out = ClusterStep::default();
         // Envelopes ready for the inner RM this step: grant replays first
         // (their actMsgs arrived in an earlier step), then fresh inbox.
-        let mut batch: Vec<Envelope> = Vec::new();
+        let mut batch = std::mem::take(&mut self.batch);
         for bundle in from_root {
             self.apply_root_bundle(bundle, &mut batch, &mut out, now_cycle);
         }
@@ -175,6 +180,8 @@ impl<P: RatePolicy> ClusterRm<P> {
         }
         out.to_clients
             .extend(self.inner.receive_batch(&batch, now_cycle));
+        batch.clear();
+        self.batch = batch;
         out.to_clients.extend(self.inner.poll(now_cycle));
         // Departures (termination or watchdog reclamation) return their
         // guaranteed budget to the root.

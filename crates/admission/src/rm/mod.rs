@@ -34,13 +34,15 @@
 pub mod cluster;
 pub mod root;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use autoplat_sim::{SimDuration, SimTime};
 
 use crate::app::{AppId, Application};
 use crate::client::RetryPolicy;
 use crate::error::{check_latency, AdmissionError};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::modes::{RatePolicy, SystemMode};
 use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState};
 
@@ -96,6 +98,14 @@ impl Default for WatchdogConfig {
     }
 }
 
+/// The earlier of two optional deadlines.
+pub(crate) fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// An unacknowledged `confMsg` the RM keeps retransmitting.
 #[derive(Debug, Clone, Copy)]
 struct PendingConf {
@@ -118,6 +128,12 @@ pub struct AdmissionOutcome {
 
 /// The Resource Manager.
 ///
+/// Per-client state that is only ever looked up by id lives in hashed
+/// maps with a seedless hasher, so hashing and `Debug` output are the
+/// same in every process; state whose order is observed — the active
+/// member list, the quarantine, the degraded set and the conf retry
+/// index — stays ordered.
+///
 /// # Examples
 ///
 /// ```
@@ -138,7 +154,7 @@ pub struct ResourceManager<P> {
     active: Vec<Application>,
     /// Index over `active` keyed by client id, so membership checks and
     /// removals need no linear scan.
-    active_ids: BTreeSet<AppId>,
+    active_ids: FxHashSet<AppId>,
     log: MessageLog,
     mode_changes: u64,
     rejections: u64,
@@ -151,15 +167,28 @@ pub struct ResourceManager<P> {
     retry: RetryPolicy,
     /// Application metadata known to the RM, keyed by id, so an `actMsg`
     /// (which carries only the id) can be resolved to demands.
-    known: BTreeMap<AppId, Application>,
+    known: FxHashMap<AppId, Application>,
     /// Last cycle each monitored client was heard from.
-    last_heartbeat: BTreeMap<AppId, u64>,
-    /// `(heard_cycle, app)` index over `last_heartbeat`, so the watchdog
-    /// sweep and deadline query are O(log n) instead of scanning every
-    /// monitored client.
-    heartbeat_index: BTreeSet<(u64, AppId)>,
+    last_heartbeat: FxHashMap<AppId, u64>,
+    /// Min-heap of `(heard_cycle, app)` over `last_heartbeat`, so the
+    /// watchdog sweep and deadline query never scan every monitored
+    /// client. It is cleaned lazily: an entry is *live* iff
+    /// `last_heartbeat[app] == heard_cycle`, and a touch pushes only when
+    /// the client's heard cycle changes, leaving the superseded entry in
+    /// place as *stale*.
+    ///
+    /// Invariants: every monitored client has a live entry (several only
+    /// after touches that went back in time to a cycle it was heard at
+    /// before), and the top entry is live, because stale entries are
+    /// popped off the top after every touch and untouch and `poll` pops
+    /// every entry at or before its cutoff. The top therefore gives the
+    /// exact watchdog deadline. Size bound: the live entries plus one
+    /// stale entry per heard-cycle change at a cycle after the last
+    /// poll's cutoff — with `poll` on schedule, the monitored clients
+    /// plus the touches within about one watchdog timeout.
+    heartbeat_index: BinaryHeap<Reverse<(u64, AppId)>>,
     /// Reclamation counts feeding the quarantine decision.
-    reclaim_counts: BTreeMap<AppId, u32>,
+    reclaim_counts: FxHashMap<AppId, u32>,
     /// Quarantined applications and the first cycle they may return.
     quarantined: BTreeMap<AppId, u64>,
     /// Applications whose `confMsg` exhausted its retry budget; non-empty
@@ -168,16 +197,17 @@ pub struct ResourceManager<P> {
     next_seq: u64,
     rx: ReceiveState,
     /// At most one unacknowledged `confMsg` per client (newer rounds
-    /// supersede older ones), keyed by client id so retransmission and
-    /// give-up sweeps iterate in deterministic id order.
-    pending_confs: BTreeMap<AppId, PendingConf>,
+    /// supersede older ones), looked up by client id; the retransmission
+    /// sweep finds due confs through the retry index and sorts them by id
+    /// itself.
+    pending_confs: FxHashMap<AppId, PendingConf>,
     /// `(next_retry_cycle, app)` index over `pending_confs`, so due
     /// retransmissions are found without scanning every pending conf.
     conf_retry_index: BTreeSet<(u64, AppId)>,
     /// The rate each active client was told in the last conf round; feeds
     /// duplicate-activation re-confirmation without recomputing the
     /// policy, and the delta-conf optimisation.
-    last_rates: BTreeMap<AppId, f64>,
+    last_rates: FxHashMap<AppId, f64>,
     /// When set, a reconfiguration round only sends `stopMsg`/`confMsg`
     /// to clients whose rate actually changed (newly admitted clients
     /// always get one). Off by default: the paper's protocol re-confirms
@@ -217,7 +247,7 @@ impl<P: RatePolicy> ResourceManager<P> {
         Ok(ResourceManager {
             policy,
             active: Vec::new(),
-            active_ids: BTreeSet::new(),
+            active_ids: FxHashSet::default(),
             log: MessageLog::new(),
             mode_changes: 0,
             rejections: 0,
@@ -225,17 +255,17 @@ impl<P: RatePolicy> ResourceManager<P> {
             overhead: SimDuration::ZERO,
             watchdog: WatchdogConfig::default(),
             retry: RetryPolicy::default(),
-            known: BTreeMap::new(),
-            last_heartbeat: BTreeMap::new(),
-            heartbeat_index: BTreeSet::new(),
-            reclaim_counts: BTreeMap::new(),
+            known: FxHashMap::default(),
+            last_heartbeat: FxHashMap::default(),
+            heartbeat_index: BinaryHeap::new(),
+            reclaim_counts: FxHashMap::default(),
             quarantined: BTreeMap::new(),
             degraded: BTreeSet::new(),
             next_seq: 0,
             rx: ReceiveState::new(),
-            pending_confs: BTreeMap::new(),
+            pending_confs: FxHashMap::default(),
             conf_retry_index: BTreeSet::new(),
-            last_rates: BTreeMap::new(),
+            last_rates: FxHashMap::default(),
             delta_confs: false,
             logging: true,
             preapproved: false,
@@ -398,19 +428,49 @@ impl<P: RatePolicy> ResourceManager<P> {
         }
     }
 
-    /// Records proof of life from `app`, keeping the watchdog index in
-    /// sync.
+    /// Starts (or refreshes) watchdog monitoring of `app` as heard at
+    /// `now_cycle`, keeping the watchdog index in sync: a changed heard
+    /// cycle pushes a fresh entry, and the one it supersedes goes stale.
     fn touch(&mut self, app: AppId, now_cycle: u64) {
-        if let Some(old) = self.last_heartbeat.insert(app, now_cycle) {
-            self.heartbeat_index.remove(&(old, app));
+        if self.last_heartbeat.insert(app, now_cycle) != Some(now_cycle) {
+            self.heartbeat_index.push(Reverse((now_cycle, app)));
+            self.drop_stale_heartbeats();
         }
-        self.heartbeat_index.insert((now_cycle, app));
     }
 
-    /// Stops monitoring `app`, keeping the watchdog index in sync.
+    /// Records proof of life from `app` if the watchdog monitors it (any
+    /// delivered message counts); unlike [`touch`](Self::touch), it never
+    /// starts monitoring a client.
+    fn heard_from(&mut self, app: AppId, now_cycle: u64) {
+        if let Some(heard) = self.last_heartbeat.get_mut(&app) {
+            if *heard != now_cycle {
+                *heard = now_cycle;
+                self.heartbeat_index.push(Reverse((now_cycle, app)));
+                self.drop_stale_heartbeats();
+            }
+        }
+    }
+
+    /// Stops monitoring `app`; its index entries go stale.
     fn untouch(&mut self, app: AppId) {
-        if let Some(old) = self.last_heartbeat.remove(&app) {
-            self.heartbeat_index.remove(&(old, app));
+        if self.last_heartbeat.remove(&app).is_some() {
+            self.drop_stale_heartbeats();
+        }
+    }
+
+    /// Whether the watchdog index entry `(heard, app)` is live.
+    fn is_live_heartbeat(&self, app: AppId, heard: u64) -> bool {
+        self.last_heartbeat.get(&app) == Some(&heard)
+    }
+
+    /// Pops stale entries off the top of the watchdog index, so the top
+    /// is live.
+    fn drop_stale_heartbeats(&mut self) {
+        while let Some(&Reverse((heard, app))) = self.heartbeat_index.peek() {
+            if self.is_live_heartbeat(app, heard) {
+                break;
+            }
+            self.heartbeat_index.pop();
         }
     }
 
@@ -590,9 +650,7 @@ impl<P: RatePolicy> ResourceManager<P> {
     pub fn receive(&mut self, envelope: Envelope, now_cycle: u64) -> Vec<Envelope> {
         let app = envelope.message.app();
         // Any message is proof of life for the watchdog.
-        if self.last_heartbeat.contains_key(&app) {
-            self.touch(app, now_cycle);
-        }
+        self.heard_from(app, now_cycle);
         let fresh = self.rx.accept(envelope.from, envelope.seq);
         if !fresh {
             return self.respond_to_duplicate(envelope, now_cycle);
@@ -736,15 +794,13 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// `confMsg` retransmission or a watchdog expiry.
     pub fn next_deadline(&self) -> Option<u64> {
         let retry = self.conf_retry_index.iter().next().map(|&(cycle, _)| cycle);
+        // The top of the watchdog index is always live, so it is the
+        // earliest heard cycle of any monitored client.
         let watchdog = self
             .heartbeat_index
-            .iter()
-            .next()
-            .map(|&(heard, _)| heard + self.watchdog.timeout_cycles);
-        match (retry, watchdog) {
-            (Some(r), Some(w)) => Some(r.min(w)),
-            (r, w) => r.or(w),
-        }
+            .peek()
+            .map(|&Reverse((heard, _))| heard + self.watchdog.timeout_cycles);
+        earliest(retry, watchdog)
     }
 
     /// Advances the RM's timers to `now_cycle`: retransmits due `confMsg`s
@@ -785,16 +841,27 @@ impl<P: RatePolicy> ResourceManager<P> {
             }
             self.degraded.insert(app);
         }
-        // Watchdog sweep via the heartbeat index: everything heard at or
-        // before `cutoff` has been silent past the timeout. (With no full
-        // timeout elapsed since cycle 0, nothing can have expired.)
+        // Watchdog sweep via the heartbeat index: every client whose live
+        // entry was heard at or before `cutoff` has been silent past the
+        // timeout. Stale entries are popped on the way, including any
+        // past the cutoff that reach the top, so the top stays live. A
+        // client with two live entries is listed twice, hence the dedup.
+        // (With no full timeout elapsed since cycle 0, nothing can have
+        // expired.)
         if let Some(cutoff) = now_cycle.checked_sub(self.watchdog.timeout_cycles) {
-            let mut expired: Vec<AppId> = self
-                .heartbeat_index
-                .range(..=(cutoff, AppId(u32::MAX)))
-                .map(|&(_, app)| app)
-                .collect();
+            let mut expired: Vec<AppId> = Vec::new();
+            while let Some(&Reverse((heard, app))) = self.heartbeat_index.peek() {
+                let live = self.is_live_heartbeat(app, heard);
+                if live && heard > cutoff {
+                    break;
+                }
+                self.heartbeat_index.pop();
+                if live {
+                    expired.push(app);
+                }
+            }
             expired.sort_unstable();
+            expired.dedup();
             for app in expired {
                 out.extend(self.reclaim(app, now_cycle));
             }
@@ -842,10 +909,7 @@ impl<P: RatePolicy> ResourceManager<P> {
         let mut out = Vec::new();
         let mut dirty = false;
         for envelope in envelopes {
-            let app = envelope.message.app();
-            if self.last_heartbeat.contains_key(&app) {
-                self.touch(app, now_cycle);
-            }
+            self.heard_from(envelope.message.app(), now_cycle);
             if !self.rx.accept(envelope.from, envelope.seq) {
                 out.extend(self.respond_to_duplicate(*envelope, now_cycle));
                 continue;
@@ -1390,13 +1454,73 @@ mod tests {
         rm.terminate(AppId(2), SimTime::from_ns(600.0));
         let _ = rm.poll(2_000); // watchdog reclaims the rest
         assert_eq!(rm.pending_confs.len(), rm.conf_retry_index.len());
-        assert_eq!(rm.last_heartbeat.len(), rm.heartbeat_index.len());
         for (&app, p) in &rm.pending_confs {
             assert!(rm.conf_retry_index.contains(&(p.next_retry_cycle, app)));
         }
+        assert_heartbeat_index_invariant(&rm);
+    }
+
+    /// Every monitored client has a live watchdog entry, and the top
+    /// entry is live.
+    fn assert_heartbeat_index_invariant<P>(rm: &ResourceManager<P>) {
         for (&app, &heard) in &rm.last_heartbeat {
-            assert!(rm.heartbeat_index.contains(&(heard, app)));
+            assert!(
+                rm.heartbeat_index.iter().any(|e| e.0 == (heard, app)),
+                "{app} heard at {heard} has no live entry"
+            );
         }
+        if let Some(&Reverse((heard, app))) = rm.heartbeat_index.peek() {
+            assert_eq!(rm.last_heartbeat.get(&app), Some(&heard), "stale top");
+        }
+    }
+
+    fn heartbeat(app: u32, at: u64) -> Envelope {
+        Envelope {
+            from: Endpoint::Client(AppId(app)),
+            to: Endpoint::Rm,
+            seq: u64::MAX,
+            sent_at_cycle: at,
+            message: ControlMessage::Heartbeat { app: AppId(app) },
+        }
+    }
+
+    #[test]
+    fn watchdog_heap_stays_exact_with_stale_entries() {
+        let mut rm = ft_rm(); // 1000-cycle timeout
+        let out = rm.receive_batch(&[act(0, 0, 0), act(1, 0, 0)], 0);
+        settle_confs(&mut rm, &out, 0);
+        // App 1 is heard again at 900: its cycle-0 entry goes stale, but
+        // app 0's cycle-0 entry stays on top.
+        let _ = rm.receive(heartbeat(1, 900), 900);
+        assert_heartbeat_index_invariant(&rm);
+        assert_eq!(rm.next_deadline(), Some(1_000));
+        // The sweep at 1000 reclaims app 0 only and pops app 1's stale
+        // entry on the way; app 1's live entry is the new top.
+        let _ = rm.poll(1_000);
+        assert_eq!(rm.reclamations(), 1);
+        assert!(rm.is_active(AppId(1)));
+        assert_heartbeat_index_invariant(&rm);
+        assert_eq!(rm.heartbeat_index.len(), 1);
+        assert_eq!(rm.heartbeat_index.peek(), Some(&Reverse((900, AppId(1)))));
+    }
+
+    #[test]
+    fn touch_back_in_time_reclaims_once() {
+        let mut rm = ft_rm();
+        let out = rm.receive(act(0, 0, 500), 500);
+        settle_confs(&mut rm, &out, 500);
+        // Heard at 500, then at 300 (a cycle that went backwards), then at
+        // 500 again: two live entries for the same heard cycle.
+        let _ = rm.receive(heartbeat(0, 300), 300);
+        assert_eq!(rm.next_deadline(), Some(1_300));
+        let _ = rm.receive(heartbeat(0, 500), 500);
+        assert_heartbeat_index_invariant(&rm);
+        assert_eq!(rm.next_deadline(), Some(1_500));
+        let out = rm.poll(1_500);
+        assert_eq!(rm.reclamations(), 1, "one reclaim per client");
+        assert!(out.is_empty(), "no survivors to reconfigure");
+        assert!(rm.heartbeat_index.is_empty());
+        assert_eq!(rm.next_deadline(), None);
     }
 
     #[test]

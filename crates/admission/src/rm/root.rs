@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::app::AppId;
 use crate::client::RetryPolicy;
 use crate::protocol::{BundleItem, ClusterBundle, ClusterId, GrantDecision, RootBundle};
+use crate::rm::earliest;
 
 /// A decision bundle awaiting the destination cluster's ack.
 #[derive(Debug, Clone)]
@@ -337,10 +338,7 @@ impl RootArbiter {
             .values()
             .map(|&h| h + self.cluster_timeout_cycles)
             .min();
-        match (retry, watchdog) {
-            (Some(r), Some(w)) => Some(r.min(w)),
-            (r, w) => r.or(w),
-        }
+        earliest(retry, watchdog)
     }
 }
 

@@ -12,7 +12,8 @@
 //!   hierarchy only (the flat RM's O(active) admission path is exactly
 //!   what the hierarchy exists to avoid at this scale), under seeded
 //!   probabilistic drop/delay/duplication faults and a 1% crash storm;
-//! * `--clients N` / `--clusters N` / `--seed S` — override the scale;
+//! * `--clients N` / `--clusters N` / `--seed S` — override the scale (a
+//!   degenerate one, such as `--clusters 0`, exits 2 like a bad flag);
 //! * `--export-json PATH` — write the metrics export;
 //! * `--deterministic` — omit wall-clock gauges so two runs of the same
 //!   seed produce byte-identical exports (the CI replay gate `cmp`s
@@ -166,7 +167,11 @@ fn main() {
     );
 
     let started = Instant::now();
-    let outcome = FleetSim::new(cfg.clone()).run();
+    let sim = FleetSim::try_new(cfg.clone()).unwrap_or_else(|e| {
+        eprintln!("fleet: {e}");
+        std::process::exit(2);
+    });
+    let outcome = sim.run();
     let elapsed = started.elapsed().as_secs_f64();
 
     let mut registry = MetricsRegistry::new();
