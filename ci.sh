@@ -17,13 +17,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 echo "== cargo test (all targets) =="
 cargo test -q --all-targets
 
-echo "== cargo test --release (event queue, scheduler, cache, admission) =="
+echo "== cargo test --release (event queue, scheduler, cache, admission, NoC, co-sim) =="
 # Release builds turn overflow checks and debug_asserts off; the calendar
 # queue's slot arithmetic, the scheduler's time accounting, the cache's
-# per-flow state and the admission RMs' cycle arithmetic and watchdog
-# heap must hold without them too.
+# per-flow state, the admission RMs' cycle arithmetic and watchdog heap,
+# and the NoC's ring index wrap and bitset arithmetic must hold without
+# them too. The co-sim's allocations-per-packet bound runs here as well.
 cargo test --release -q -p autoplat-sim -p autoplat-sched -p autoplat-cache \
-    -p autoplat-admission
+    -p autoplat-admission -p autoplat-noc -p autoplat-core
 
 echo "== metrics export smoke (bench binary + schema gate) =="
 SMOKE_DIR="target/ci-smoke"

@@ -325,6 +325,37 @@ enum PacketInfo {
     Response { task: usize, job: u64 },
 }
 
+/// The packets in the mesh, keyed by the ids [`PacketWindow::insert`]
+/// hands out in sequence. Live ids span a short window from the oldest
+/// undelivered packet, so the map is a deque indexed by offset from that
+/// oldest id; the front is trimmed as it is delivered.
+#[derive(Debug, Default)]
+struct PacketWindow {
+    /// Id of `slots[0]`.
+    base: u64,
+    /// `None` marks an id already delivered behind a live older one.
+    slots: VecDeque<Option<PacketInfo>>,
+}
+
+impl PacketWindow {
+    /// Records `info` under the next id, and returns the id.
+    fn insert(&mut self, info: PacketInfo) -> u64 {
+        self.slots.push_back(Some(info));
+        self.base + self.slots.len() as u64 - 1
+    }
+
+    /// Removes and returns the packet with `id`.
+    fn take(&mut self, id: u64) -> Option<PacketInfo> {
+        let offset = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let info = self.slots.get_mut(offset)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        info
+    }
+}
+
 #[derive(Debug)]
 struct JobState {
     released_at: SimTime,
@@ -614,8 +645,7 @@ pub struct CoSim {
     memory_node: NodeId,
     tasks: Vec<TaskState>,
     controls: Vec<(SimTime, ControlCommand)>,
-    packet_map: BTreeMap<u64, PacketInfo>,
-    next_packet_id: u64,
+    packets: PacketWindow,
     next_job_id: u64,
     noc_cursor: usize,
     horizon: SimTime,
@@ -713,8 +743,7 @@ impl CoSim {
             memory_node,
             tasks,
             controls: cfg.controls.clone(),
-            packet_map: BTreeMap::new(),
-            next_packet_id: 0,
+            packets: PacketWindow::default(),
             next_job_id: 0,
             noc_cursor: 0,
             horizon: cfg.horizon,
@@ -889,16 +918,11 @@ impl CoSim {
                         let addr = (t.rng.next_u64() % t.spec.address_space) & !63;
                         (addr, t.spec.node, t.spec.flits_per_packet)
                     };
-                    let pid = self.next_packet_id;
-                    self.next_packet_id += 1;
-                    self.packet_map.insert(
-                        pid,
-                        PacketInfo::Request {
-                            task: i,
-                            job: job_id,
-                            addr,
-                        },
-                    );
+                    let pid = self.packets.insert(PacketInfo::Request {
+                        task: i,
+                        job: job_id,
+                        addr,
+                    });
                     self.noc
                         .inject_at(Packet::new(pid, node, self.memory_node, flits), now);
                     let t = &mut self.tasks[i];
@@ -921,16 +945,15 @@ impl CoSim {
 
     /// Routes newly ejected packets: requests to the DRAM channel (whose
     /// completion releases the response packet back into the mesh),
-    /// responses to their issuing job.
+    /// responses to their issuing job. Pumps the network only when a
+    /// response was injected: otherwise the tick just handled has already
+    /// scheduled whatever the network needs.
     fn drain_noc(&mut self, sink: &mut dyn EventSink<CoSimEvent>) {
-        let completed = self.noc.completed();
-        let arrivals: Vec<(u64, SimTime)> = completed[self.noc_cursor..]
-            .iter()
-            .map(|r| (r.packet.id, r.ejected_at))
-            .collect();
-        self.noc_cursor = completed.len();
-        for (pid, at) in arrivals {
-            match self.packet_map.remove(&pid) {
+        let mut injected = false;
+        while let Some(&rec) = self.noc.completed().get(self.noc_cursor) {
+            self.noc_cursor += 1;
+            let (pid, at) = (rec.packet.id, rec.ejected_at);
+            match self.packets.take(pid) {
                 Some(PacketInfo::Request { task, job, addr }) => {
                     // The partitioned last-level cache sits in front of
                     // DRAM; the MSC's monitors observe every transfer,
@@ -976,16 +999,14 @@ impl CoSim {
                         }
                         served.done
                     };
-                    let rid = self.next_packet_id;
-                    self.next_packet_id += 1;
-                    self.packet_map
-                        .insert(rid, PacketInfo::Response { task, job });
+                    let rid = self.packets.insert(PacketInfo::Response { task, job });
                     let (node, flits) = {
                         let spec = &self.tasks[task].spec;
                         (spec.node, spec.flits_per_packet)
                     };
                     self.noc
                         .inject_at(Packet::new(rid, self.memory_node, node, flits), done);
+                    injected = true;
                 }
                 Some(PacketInfo::Response { task, job }) => {
                     let done = {
@@ -1001,7 +1022,9 @@ impl CoSim {
                 None => unreachable!("ejected packet {pid} was never mapped"),
             }
         }
-        self.noc.pump(&mut MapSink::new(sink, CoSimEvent::Noc));
+        if injected {
+            self.noc.pump(&mut MapSink::new(sink, CoSimEvent::Noc));
+        }
     }
 
     fn finish_job(&mut self, task: usize, job: u64, at: SimTime) {
@@ -1273,6 +1296,40 @@ impl Process for CoSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packet_window_hands_out_sequential_ids_and_trims_its_front() {
+        let mut w = PacketWindow::default();
+        let ids: Vec<u64> = (0..4)
+            .map(|job| w.insert(PacketInfo::Response { task: 0, job }))
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        // Out of order: 2 leaves a hole, 0 trims the front up to it.
+        assert!(matches!(
+            w.take(2),
+            Some(PacketInfo::Response { job: 2, .. })
+        ));
+        assert!(w.take(2).is_none(), "taken twice");
+        assert!(matches!(
+            w.take(0),
+            Some(PacketInfo::Response { job: 0, .. })
+        ));
+        assert_eq!((w.base, w.slots.len()), (1, 3));
+        assert!(matches!(
+            w.take(1),
+            Some(PacketInfo::Response { job: 1, .. })
+        ));
+        assert_eq!((w.base, w.slots.len()), (3, 1));
+        assert!(w.take(0).is_none(), "below the window");
+        assert!(w.take(9).is_none(), "above the window");
+        assert!(matches!(
+            w.take(3),
+            Some(PacketInfo::Response { job: 3, .. })
+        ));
+        // Drained: the next id continues the sequence.
+        assert!(w.slots.is_empty());
+        assert_eq!(w.insert(PacketInfo::Response { task: 0, job: 4 }), 4);
+    }
 
     #[test]
     fn small_platform_completes_all_jobs() {

@@ -6,15 +6,27 @@
 //! decided against a snapshot of buffer occupancy and applied atomically,
 //! so the simulation is order-independent and deterministic.
 //!
-//! A cycle costs what is in flight, not the mesh size. The network keeps
-//! a count of flits buffered in routers (+1 per source injection, −1 per
-//! ejection); while it is zero no router is visited at all. Otherwise
-//! only routers with a buffered flit decide anything: an empty router has
-//! no head flit, so a locked output would see a bubble and an unlocked
-//! one would have no candidate, and neither changes a lock or a
-//! round-robin pointer. Within a router, each waiting head flit is routed
-//! once per cycle, and only outputs that are locked or requested are
-//! arbitrated.
+//! A cycle costs the flits that can move, not the mesh size:
+//!
+//! * Two node sets — routers holding a flit, and sources with a queued
+//!   packet — change only where a flit enters or leaves a router and
+//!   where a packet enters or leaves a source queue. A cycle walks only
+//!   their members, in ascending node order, and nothing at all while
+//!   both are empty. An empty router has no head flit, so a locked output
+//!   would see a bubble and an unlocked one would have no candidate, and
+//!   neither changes a lock or a round-robin pointer.
+//! * Within a router, the occupied-input mask names the head flits to
+//!   route (each once per cycle), and only outputs that are locked or
+//!   requested are decided, in ascending port order; arbitration
+//!   candidates come from a per-output request mask (see
+//!   [`router`](crate::router)).
+//! * Routing compares each router's stored `(x, y)` with the
+//!   destination's, and a neighbour is `±1` or `±cols` away: no division
+//!   on the hot path. [`Mesh::route_xy`] and [`Mesh::neighbor`] stay the
+//!   reference the tests check it against.
+//! * Every input buffer is a ring in one flat allocation
+//!   ([`InputBuffers`]), and a source queue holds whole packets, making
+//!   each flit (with [`Packet::flit`]) as it enters the local port.
 //!
 //! No per-cycle reservation of downstream buffer slots is needed: input
 //! port `p` of router `d` is fed by exactly one (router, output) pair —
@@ -36,7 +48,7 @@ use autoplat_sim::metrics::MetricsRegistry;
 use autoplat_sim::{SimDuration, SimTime, Summary};
 
 use crate::packet::{Flit, Packet};
-use crate::router::{Lock, Router};
+use crate::router::{InputBuffers, Lock, Router};
 use crate::topology::{Direction, Mesh, NodeId};
 
 /// NoC configuration.
@@ -119,19 +131,82 @@ pub enum NocEvent {
     Tick,
 }
 
-/// A decided flit movement (phase A result).
-#[derive(Debug)]
-enum Move {
-    Forward {
-        from: usize,
-        in_port: usize,
-        to: usize,
-        to_port: Direction,
-    },
-    Eject {
-        from: usize,
-        in_port: usize,
-    },
+/// A decided flit movement (phase A result): the head flit of input
+/// `in_port` of router `from` leaves through output `out` — ejection
+/// when `out` is the local port, otherwise a hop to the neighbour.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    from: u32,
+    in_port: u8,
+    out: u8,
+}
+
+/// A packet waiting at its source: flits `next_seq..` have yet to enter
+/// the local input port, none before `release`.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    packet: Packet,
+    next_seq: u32,
+    release: SimTime,
+}
+
+/// A set of node indices as a bitset.
+#[derive(Debug, Clone)]
+struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    fn new(nodes: usize) -> Self {
+        NodeSet {
+            words: vec![0; nodes.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, node: usize) {
+        self.words[node / 64] |= 1 << (node % 64);
+    }
+
+    fn remove(&mut self, node: usize) {
+        self.words[node / 64] &= !(1 << (node % 64));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members of word `w`, ascending. The iterator holds a copy of
+    /// the word, so the caller may change the set while walking it.
+    fn word(&self, w: usize) -> Bits {
+        Bits {
+            word: self.words[w],
+            base: w * 64,
+        }
+    }
+
+    /// All members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.words.len()).flat_map(|w| self.word(w))
+    }
+}
+
+/// The set bits of one bitset word, lowest first, offset by `base`.
+struct Bits {
+    word: u64,
+    base: usize,
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.word == 0 {
+            return None;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
 }
 
 /// The NoC simulator.
@@ -150,12 +225,21 @@ enum Move {
 /// ```
 #[derive(Debug)]
 pub struct NocSim {
-    config: NocConfig,
     mesh: Mesh,
+    /// Per-router lock, round-robin and mask state, indexed by node.
     routers: Vec<Router>,
-    /// Per-node source queues: flits awaiting entry at the local port,
-    /// with their release instant.
-    sources: Vec<VecDeque<(Flit, SimTime)>>,
+    /// Every router's input buffers, at port index `node * 5 + port`.
+    buffers: InputBuffers,
+    /// Per output port, the neighbour's node offset as a wrapping add:
+    /// the neighbour of `n` through output `out` is
+    /// `n.wrapping_add(neighbor_offset[out])`.
+    neighbor_offset: [usize; 5],
+    /// Per-node source queues: packets awaiting entry at the local port.
+    sources: Vec<VecDeque<Queued>>,
+    /// Routers holding at least one flit.
+    active: NodeSet,
+    /// Nodes whose source queue is non-empty.
+    queued: NodeSet,
     /// Packet bookkeeping: id → (packet, release instant). Ordered so
     /// every walk over in-flight packets is deterministic.
     in_flight: BTreeMap<u64, (Packet, SimTime)>,
@@ -167,9 +251,6 @@ pub struct NocSim {
     /// any; stale (superseded) ticks are recognised and ignored.
     scheduled: Option<SimTime>,
     latency: Summary,
-    /// Flits buffered in routers: +1 per source injection, −1 per
-    /// ejection. Zero means no router has anything to decide.
-    buffered: usize,
     /// Phase-A decisions of the current cycle; kept to reuse its storage.
     moves: Vec<Move>,
     /// Flit traversals per directed link, indexed `router * 5 + output
@@ -178,36 +259,43 @@ pub struct NocSim {
 }
 
 impl NocSim {
-    /// Creates an idle network.
+    /// Creates an idle network. Its storage is a fixed number of
+    /// allocations whatever the mesh size.
     ///
     /// # Panics
     ///
     /// Panics on zero mesh dimensions or zero buffer depth.
     pub fn new(config: NocConfig) -> Self {
         let mesh = Mesh::new(config.cols, config.rows);
+        let nodes = mesh.nodes() as usize;
         let routers = (0..mesh.nodes())
-            .map(|n| Router::new(NodeId(n), config.buffer_flits))
+            .map(|n| {
+                let (x, y) = NodeId(n).coords(mesh.cols());
+                Router::new(x, y)
+            })
             .collect();
-        let sources = (0..mesh.nodes()).map(|_| VecDeque::new()).collect();
+        let cols = mesh.cols() as usize;
         let cycle_time = SimDuration::from_ns(config.cycle_ns);
         assert!(
             cycle_time > SimDuration::ZERO,
             "cycle time must be non-zero"
         );
         NocSim {
-            config,
             mesh,
             routers,
-            sources,
+            buffers: InputBuffers::new(nodes, config.buffer_flits),
+            neighbor_offset: [0, cols.wrapping_neg(), cols, 1, usize::MAX],
+            sources: (0..nodes).map(|_| VecDeque::new()).collect(),
+            active: NodeSet::new(nodes),
+            queued: NodeSet::new(nodes),
             in_flight: BTreeMap::new(),
             completed: Vec::new(),
             now: SimTime::ZERO,
             cycle_time,
             scheduled: None,
             latency: Summary::new(),
-            buffered: 0,
             moves: Vec::new(),
-            link_flits: vec![0; mesh.nodes() as usize * 5],
+            link_flits: vec![0; nodes * 5],
         }
     }
 
@@ -259,10 +347,13 @@ impl NocSim {
             packet.id
         );
         self.in_flight.insert(packet.id, (packet, release));
-        let queue = &mut self.sources[packet.src.0 as usize];
-        for flit in packet.to_flits() {
-            queue.push_back((flit, release));
-        }
+        let src = packet.src.0 as usize;
+        self.sources[src].push_back(Queued {
+            packet,
+            next_seq: 0,
+            release,
+        });
+        self.queued.insert(src);
     }
 
     /// Advances the simulation by one cycle (the tick-stepped primitive:
@@ -270,151 +361,210 @@ impl NocSim {
     pub fn step(&mut self) {
         // Source injection: one flit per node per cycle into the local
         // input port, respecting release times and buffer space.
-        for n in 0..self.routers.len() {
-            let can_release = matches!(
-                self.sources[n].front(),
-                Some(&(_, release)) if release <= self.now
-            );
-            if can_release && self.routers[n].has_space(Direction::Local) {
-                let (flit, _) = self.sources[n].pop_front().expect("front exists");
-                self.routers[n].push(Direction::Local, flit);
-                self.buffered += 1;
+        for w in 0..self.queued.words.len() {
+            for n in self.queued.word(w) {
+                self.inject_flit(n);
             }
         }
 
-        // Phase A: decide at most one movement per (router, output port).
-        // A router with nothing buffered has nothing to decide.
+        // Phase A: decide at most one movement per (router, output port),
+        // for the routers holding a flit.
         let mut moves = std::mem::take(&mut self.moves);
-        if self.buffered > 0 {
-            for r in 0..self.routers.len() {
-                if self.routers[r].total_buffered() > 0 {
-                    self.decide_router(r, &mut moves);
-                }
+        for w in 0..self.active.words.len() {
+            for r in self.active.word(w) {
+                self.decide_router(r, &mut moves);
             }
         }
 
         // Phase B: apply.
-        for mv in moves.drain(..) {
-            match mv {
-                Move::Forward {
-                    from,
-                    in_port,
-                    to,
-                    to_port,
-                } => {
-                    let flit = self.routers[from].pop(in_port).expect("decided flit");
-                    self.link_flits[from * 5 + to_port.opposite().index()] += 1;
-                    self.routers[to].push(to_port, flit);
-                }
-                Move::Eject { from, in_port } => {
-                    let flit = self.routers[from].pop(in_port).expect("decided flit");
-                    self.buffered -= 1;
-                    if flit.kind.is_tail() {
-                        let (packet, injected_at) = self
-                            .in_flight
-                            .remove(&flit.packet)
-                            .expect("tail of a tracked packet");
-                        let rec = PacketRecord {
-                            packet,
-                            injected_at,
-                            ejected_at: self.now + self.cycle_time,
-                            cycle_time: self.cycle_time,
-                        };
-                        self.latency.record(rec.latency_cycles() as f64);
-                        self.completed.push(rec);
-                    }
-                }
+        for &Move { from, in_port, out } in &moves {
+            let (from, out) = (from as usize, out as usize);
+            let flit = self.pop_flit(from, in_port as usize);
+            if out == Direction::Local.index() {
+                self.eject(flit);
+            } else {
+                self.link_flits[from * 5 + out] += 1;
+                let to = from.wrapping_add(self.neighbor_offset[out]);
+                let to_port = Direction::ALL[out].opposite().index();
+                self.push_flit(to, to_port, flit);
             }
         }
+        moves.clear();
         self.moves = moves;
         self.now += self.cycle_time;
     }
 
-    /// Decides the movements of router `r` into `moves`, one output port
-    /// at a time in port order.
-    fn decide_router(&mut self, r: usize, moves: &mut Vec<Move>) {
-        // Route each waiting head flit once: `wants[p]` is the output the
-        // head flit at input `p` requests. Buffers do not change during
-        // phase A, so this holds for every output of this cycle.
-        let node = self.routers[r].node();
-        let mut wants = [None; 5];
-        for (p, want) in wants.iter_mut().enumerate() {
-            if let Some(f) = self.routers[r].head_flit(p) {
-                if f.kind.is_head() {
-                    *want = Some(self.mesh.route_xy(node, f.dest).index());
-                }
+    /// Moves the next flit of node `n`'s front packet into its local
+    /// input port, if the packet is released and the port has space.
+    fn inject_flit(&mut self, n: usize) {
+        let queue = &mut self.sources[n];
+        let front = queue.front_mut().expect("queued source has a packet");
+        let local = Direction::Local.index();
+        if front.release > self.now || !self.buffers.has_space(n * 5 + local) {
+            return;
+        }
+        let flit = front.packet.flit(front.next_seq);
+        front.next_seq += 1;
+        if front.next_seq == front.packet.flits {
+            queue.pop_front();
+            if queue.is_empty() {
+                self.queued.remove(n);
             }
         }
-        for out in 0..5 {
-            // An unlocked output nobody requests has nothing to decide.
-            let lock = self.routers[r].lock(out);
-            if lock.is_none() && !wants.contains(&Some(out)) {
-                continue;
+        self.push_flit(n, local, flit);
+    }
+
+    /// Appends `flit` to input `port` of router `r`.
+    fn push_flit(&mut self, r: usize, port: usize, flit: Flit) {
+        self.buffers.push(r * 5 + port, flit);
+        self.routers[r].set_occupied(port, true);
+        self.active.insert(r);
+    }
+
+    /// Removes the head flit of input `port` of router `r`.
+    fn pop_flit(&mut self, r: usize, port: usize) -> Flit {
+        let flit = self.buffers.pop(r * 5 + port).expect("decided flit");
+        if self.buffers.occupancy(r * 5 + port) == 0 {
+            let router = &mut self.routers[r];
+            router.set_occupied(port, false);
+            if router.occupied() == 0 {
+                self.active.remove(r);
             }
-            if let Some(mv) = self.decide_output(r, out, lock, &wants) {
-                moves.push(mv);
+        }
+        flit
+    }
+
+    /// Takes an ejected `flit` off the network; its tail completes the
+    /// packet.
+    fn eject(&mut self, flit: Flit) {
+        if !flit.kind.is_tail() {
+            return;
+        }
+        let (packet, injected_at) = self
+            .in_flight
+            .remove(&flit.packet)
+            .expect("tail of a tracked packet");
+        let rec = PacketRecord {
+            packet,
+            injected_at,
+            ejected_at: self.now + self.cycle_time,
+            cycle_time: self.cycle_time,
+        };
+        self.latency.record(rec.latency_cycles() as f64);
+        self.completed.push(rec);
+    }
+
+    /// The output port at router `r` towards `dest`: X first, then Y,
+    /// local on arrival (what [`Mesh::route_xy`] answers, from the
+    /// routers' stored coordinates).
+    fn route(&self, r: usize, dest: NodeId) -> usize {
+        let (x, y) = self.routers[r].coords();
+        let (dx, dy) = self.routers[dest.0 as usize].coords();
+        let dir = if x < dx {
+            Direction::East
+        } else if x > dx {
+            Direction::West
+        } else if y < dy {
+            Direction::South
+        } else if y > dy {
+            Direction::North
+        } else {
+            Direction::Local
+        };
+        dir.index()
+    }
+
+    /// Decides the movements of router `r` into `moves`, one output port
+    /// at a time in ascending port order.
+    fn decide_router(&mut self, r: usize, moves: &mut Vec<Move>) {
+        let base = r * 5;
+        // Route each waiting head flit once: `requests[o]` holds the
+        // inputs whose head flit wants output `o`. Buffers do not change
+        // during phase A, so this holds for every output of this cycle.
+        let mut requests = [0u8; 5];
+        let mut requested = 0u8;
+        let mut inputs = self.routers[r].occupied();
+        while inputs != 0 {
+            let p = inputs.trailing_zeros() as usize;
+            inputs &= inputs - 1;
+            let flit = self.buffers.front(base + p).expect("occupied input");
+            if flit.kind.is_head() {
+                let out = self.route(r, flit.dest);
+                requests[out] |= 1 << p;
+                requested |= 1 << out;
+            }
+        }
+        // An unlocked output nobody requests has nothing to decide.
+        let mut outputs = requested | self.routers[r].locked();
+        while outputs != 0 {
+            let out = outputs.trailing_zeros() as usize;
+            outputs &= outputs - 1;
+            if let Some(in_port) = self.decide_output(r, out, requests[out]) {
+                moves.push(Move {
+                    from: r as u32,
+                    in_port: in_port as u8,
+                    out: out as u8,
+                });
             }
         }
     }
 
-    /// Decides the movement for output port `out` of router `r`, given
-    /// the output's current `lock` and the outputs its head flits want.
-    fn decide_output(
-        &mut self,
-        r: usize,
-        out: usize,
-        lock: Option<Lock>,
-        wants: &[Option<usize>; 5],
-    ) -> Option<Move> {
-        let out_dir = Direction::ALL[out];
-        let node = self.routers[r].node();
-
+    /// Decides which input, if any, output port `out` of router `r`
+    /// serves this cycle, given the inputs whose head flits request it.
+    fn decide_output(&mut self, r: usize, out: usize, requests: u8) -> Option<usize> {
         // Can the downstream accept a flit this cycle? Ejection always
-        // can. An edge port is never used by XY routing.
-        let downstream = if out_dir == Direction::Local {
-            None
-        } else {
-            Some(self.mesh.neighbor(node, out_dir)?.0 as usize)
-        };
-        if let Some(d) = downstream {
-            if !self.routers[d].has_space(out_dir.opposite()) {
+        // can. XY routing never picks an edge port, so a locked or
+        // requested output always has a neighbour.
+        let dir = Direction::ALL[out];
+        if dir != Direction::Local {
+            let d = r.wrapping_add(self.neighbor_offset[out]);
+            debug_assert_eq!(
+                self.mesh
+                    .neighbor(NodeId(r as u32), dir)
+                    .map(|n| n.0 as usize),
+                Some(d),
+                "route leads off the mesh"
+            );
+            if !self.buffers.has_space(d * 5 + dir.opposite().index()) {
                 return None;
             }
         }
-
-        let in_port = match lock {
+        let base = r * 5;
+        match self.routers[r].lock(out) {
             // Continuing wormhole.
             Some(Lock { in_port, packet }) => {
-                let flit = match self.routers[r].head_flit(in_port) {
+                let flit = match self.buffers.front(base + in_port) {
                     Some(f) if f.packet == packet => *f,
                     _ => return None, // bubble: hold the path
                 };
                 if flit.kind.is_tail() {
                     self.routers[r].set_lock(out, None);
                 }
-                in_port
+                Some(in_port)
             }
             // New wormhole: head flits at input ports routing to this
             // output. MPAM-style priority partitioning: the highest packet
             // priority wins arbitration; round-robin breaks ties (§III-B.4).
             None => {
-                let mut candidates = [0usize; 5];
-                let mut count = 0;
+                let mut candidates = 0u8;
                 let mut top_priority = 0;
-                for p in (0..5).filter(|&p| wants[p] == Some(out)) {
-                    let priority = self.routers[r].head_flit(p).expect("routed").priority;
-                    if count == 0 || priority > top_priority {
+                let mut rest = requests;
+                while rest != 0 {
+                    let p = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let priority = self.buffers.front(base + p).expect("routed").priority;
+                    if candidates == 0 || priority > top_priority {
                         top_priority = priority;
-                        count = 0;
+                        candidates = 0;
                     }
                     if priority == top_priority {
-                        candidates[count] = p;
-                        count += 1;
+                        candidates |= 1 << p;
                     }
                 }
-                let in_port = self.routers[r].arbitrate(out, &candidates[..count])?;
-                let flit = *self.routers[r]
-                    .head_flit(in_port)
+                let in_port = self.routers[r].arbitrate(out, candidates)?;
+                let flit = *self
+                    .buffers
+                    .front(base + in_port)
                     .expect("candidate exists");
                 if !flit.kind.is_tail() {
                     self.routers[r].set_lock(
@@ -425,30 +575,21 @@ impl NocSim {
                         }),
                     );
                 }
-                in_port
+                Some(in_port)
             }
-        };
-        Some(match downstream {
-            None => Move::Eject { from: r, in_port },
-            Some(d) => Move::Forward {
-                from: r,
-                in_port,
-                to: d,
-                to_port: out_dir.opposite(),
-            },
-        })
+        }
     }
 
     /// The earliest instant the network needs a cycle tick: immediately
     /// when flits are buffered in routers, at the (cycle-aligned) earliest
     /// source release when only queued traffic remains, or never when idle.
     pub fn next_activation(&self) -> Option<SimTime> {
-        if self.buffered > 0 {
+        if !self.active.is_empty() {
             return Some(self.now);
         }
-        self.sources
+        self.queued
             .iter()
-            .filter_map(|q| q.front().map(|&(_, release)| release))
+            .map(|n| self.sources[n].front().expect("queued source").release)
             .min()
             .map(|release| self.grid_ceil(release).max(self.now))
     }
@@ -522,7 +663,7 @@ impl NocSim {
 
     /// True when no flit is queued or buffered anywhere.
     pub fn is_idle(&self) -> bool {
-        self.buffered == 0 && self.sources.iter().all(VecDeque::is_empty)
+        self.active.is_empty() && self.queued.is_empty()
     }
 
     /// Completed packets, in completion order.
@@ -535,9 +676,10 @@ impl NocSim {
         &self.latency
     }
 
-    /// Converts a cycle count to wall-clock time.
+    /// Converts a cycle count to simulated time: `cycles` steps of the
+    /// clock's [`cycle_time`](NocSim::cycle_time).
     pub fn cycles_to_time(&self, cycles: u64) -> SimDuration {
-        SimDuration::from_ns(cycles as f64 * self.config.cycle_ns)
+        self.cycle_time * cycles
     }
 
     /// Number of packets still travelling or queued.
@@ -867,6 +1009,72 @@ mod tests {
     fn cycles_to_time_uses_cycle_ns() {
         let n = NocSim::new(NocConfig::new(2, 2).with_cycle_ns(2.5));
         assert_eq!(n.cycles_to_time(4), SimDuration::from_ns(10.0));
+    }
+
+    #[test]
+    fn cycles_to_time_follows_the_clock() {
+        // 1.0005 ns rounds to a 1001 ps clock cycle; a thousand cycles of
+        // that clock are 1,001,000 ps, not 1000 × 1.0005 ns.
+        let mut n = NocSim::new(NocConfig::new(2, 2).with_cycle_ns(1.0005));
+        assert_eq!(n.cycle_time(), SimDuration::from_ps(1001));
+        assert_eq!(n.cycles_to_time(1000), SimDuration::from_ps(1_001_000));
+        n.run_cycles(1000);
+        assert_eq!(n.now(), SimTime::ZERO + n.cycles_to_time(1000));
+    }
+
+    #[test]
+    fn stored_coordinates_route_like_the_mesh() {
+        // `route` and `neighbor_offset` against `Mesh::route_xy` and
+        // `Mesh::neighbor`, for every pair of nodes on edge-case meshes.
+        for (cols, rows) in [(1, 1), (1, 6), (6, 1), (3, 3), (5, 3), (4, 7)] {
+            let n = noc(cols, rows);
+            let mesh = *n.mesh();
+            for a in 0..mesh.nodes() {
+                for b in 0..mesh.nodes() {
+                    let dir = mesh.route_xy(NodeId(a), NodeId(b));
+                    assert_eq!(n.route(a as usize, NodeId(b)), dir.index());
+                    if dir != Direction::Local {
+                        let next = mesh.neighbor(NodeId(a), dir).expect("on the mesh");
+                        let offset = n.neighbor_offset[dir.index()];
+                        assert_eq!((a as usize).wrapping_add(offset), next.0 as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_sets_and_masks_match_a_full_scan() {
+        // After every cycle of contended traffic, the active set, the
+        // queued set and each router's occupied mask agree with a scan
+        // of every buffer and source queue.
+        let mut n = NocSim::new(NocConfig::new(5, 3).with_buffer_flits(2));
+        for i in 0..90u64 {
+            let src = NodeId((i * 7 % 15) as u32);
+            let dest = NodeId((i * 11 % 15) as u32);
+            let packet = Packet::new(i, src, dest, 1 + (i % 6) as u32).with_priority((i % 3) as u8);
+            n.inject(packet, i / 3);
+        }
+        while !n.is_idle() {
+            n.step();
+            for r in 0..15 {
+                let mut occupied = 0u8;
+                for p in 0..5 {
+                    if n.buffers.occupancy(r * 5 + p) > 0 {
+                        occupied |= 1 << p;
+                    }
+                }
+                assert_eq!(n.routers[r].occupied(), occupied, "router {r} mask");
+                assert_eq!(n.active.iter().any(|a| a == r), occupied != 0, "router {r}");
+                assert_eq!(
+                    n.queued.iter().any(|q| q == r),
+                    !n.sources[r].is_empty(),
+                    "source {r}"
+                );
+            }
+            assert!(n.cycle() < 10_000, "must drain");
+        }
+        assert_eq!(n.completed().len(), 90);
     }
 
     #[test]

@@ -101,25 +101,32 @@ impl Packet {
         self
     }
 
+    /// Flit `seq` of the packet (0 = head): the one definition of which
+    /// flit is head, body or tail.
+    pub fn flit(&self, seq: u32) -> Flit {
+        debug_assert!(
+            seq < self.flits,
+            "flit {seq} of a {}-flit packet",
+            self.flits
+        );
+        let kind = match (seq, self.flits) {
+            (0, 1) => FlitKind::HeadTail,
+            (0, _) => FlitKind::Head,
+            (s, n) if s == n - 1 => FlitKind::Tail,
+            _ => FlitKind::Body,
+        };
+        Flit {
+            packet: self.id,
+            kind,
+            seq,
+            dest: self.dest,
+            priority: self.priority,
+        }
+    }
+
     /// Decomposes the packet into its flits.
     pub fn to_flits(&self) -> Vec<Flit> {
-        (0..self.flits)
-            .map(|seq| {
-                let kind = match (seq, self.flits) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (s, n) if s == n - 1 => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit {
-                    packet: self.id,
-                    kind,
-                    seq,
-                    dest: self.dest,
-                    priority: self.priority,
-                }
-            })
-            .collect()
+        (0..self.flits).map(|seq| self.flit(seq)).collect()
     }
 }
 

@@ -9,8 +9,17 @@
 //! link. It was written once and is never regenerated; a change to the
 //! model's routing, arbitration, buffering or timing shows up here as a
 //! first differing line.
+//!
+//! `tests/golden/noc_ticks.txt` pins the tick stream itself: the kernel
+//! events a `NocSim` schedules and receives while an engine drives it the
+//! way `CoSim` does. Co-sim exports count those ticks
+//! (`engine.events.noc.tick`), so a change that schedules one tick more
+//! or less shows up there even when every packet record is unchanged.
+//! It, too, was written once and is never regenerated.
 
-use autoplat_noc::{Direction, NocConfig, NocSim, NodeId, Packet};
+use autoplat_noc::{Direction, NocConfig, NocEvent, NocSim, NodeId, Packet};
+use autoplat_sim::engine::{Engine, EventSink, Process};
+use autoplat_sim::{SimDuration, SimTime};
 
 /// One seeded traffic case.
 struct Case {
@@ -246,4 +255,161 @@ fn dense_and_event_driven_runs_agree() {
         assert_eq!(link_counters(&dense), link_counters(&idle), "{}", case.name);
         assert_eq!(dense.hottest_link(), event.hottest_link(), "{}", case.name);
     }
+}
+
+/// A NoC on its own engine, the way `CoSim` hosts one: every delivered
+/// tick goes through `Process::handle`, and the state after it is folded
+/// into an FNV-1a digest.
+struct TickProbe {
+    noc: NocSim,
+    /// Ticks delivered.
+    ticks: u64,
+    /// Delivered ticks that left `now()` unchanged (superseded ones).
+    stale: u64,
+    digest: u64,
+}
+
+impl TickProbe {
+    fn fold(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.digest = (self.digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl Process for TickProbe {
+    type Event = NocEvent;
+
+    fn handle(&mut self, event: NocEvent, sink: &mut dyn EventSink<NocEvent>) {
+        let before = self.noc.now();
+        self.noc.handle(event, sink);
+        self.ticks += 1;
+        assert!(self.ticks < 1_000_000, "the tick stream never drains");
+        if self.noc.now() == before {
+            self.stale += 1;
+        }
+        let words = [
+            sink.now().as_ps(),
+            self.noc.now().as_ps(),
+            self.noc.completed().len() as u64,
+            self.noc.in_flight() as u64,
+            self.noc.next_activation().map_or(u64::MAX, SimTime::as_ps),
+        ];
+        for word in words {
+            self.fold(word);
+        }
+    }
+}
+
+/// Lets `pump` schedule onto the engine between `run_until` windows.
+struct EngineSink<'a>(&'a mut Engine<NocEvent>);
+
+impl EventSink<NocEvent> for EngineSink<'_> {
+    fn now(&self) -> SimTime {
+        self.0.now()
+    }
+
+    fn schedule_at(&mut self, at: SimTime, event: NocEvent) {
+        self.0.schedule_at(at, event);
+    }
+}
+
+/// One engine-driven case: `rounds` windows of up to `window` ps each.
+/// Before every window up to three packets (1–9 flits, priorities 0–3,
+/// self-sends included) are injected, each followed by a `pump`; their
+/// releases fall at the window's start, at an arbitrary picosecond
+/// within the next few cycles, or up to a few cycles before the
+/// network's `now()`.
+fn tick_case(
+    (cols, rows): (u32, u32),
+    buffer: usize,
+    cycle_ns: f64,
+    seed: u64,
+    rounds: u32,
+    window: u64,
+) -> String {
+    let config = NocConfig::new(cols, rows)
+        .with_buffer_flits(buffer)
+        .with_cycle_ns(cycle_ns);
+    let mut probe = TickProbe {
+        noc: NocSim::new(config),
+        ticks: 0,
+        stale: 0,
+        digest: 0xcbf2_9ce4_8422_2325,
+    };
+    let cycle = probe.noc.cycle_time().as_ps();
+    let nodes = (cols * rows) as u64;
+    let mut rng = SplitMix(seed);
+    let mut engine = Engine::new();
+    let mut cursor = SimTime::ZERO;
+    let mut id = 0u64;
+    for _ in 0..rounds {
+        for _ in 0..rng.below(4) {
+            let src = NodeId(rng.below(nodes) as u32);
+            let dest = NodeId(rng.below(nodes) as u32);
+            let flits = 1 + rng.below(9) as u32;
+            let priority = rng.below(4) as u8;
+            let release = match rng.below(3) {
+                0 => cursor,
+                1 => cursor + SimDuration::from_ps(rng.below(4 * cycle)),
+                _ => probe.noc.now() - SimDuration::from_ps(rng.below(4 * cycle)),
+            };
+            let packet = Packet::new(id, src, dest, flits).with_priority(priority);
+            probe.noc.inject_at(packet, release);
+            probe.noc.pump(&mut EngineSink(&mut engine));
+            id += 1;
+        }
+        cursor += SimDuration::from_ps(1 + rng.below(window));
+        engine.run_until(&mut probe, cursor);
+    }
+    engine.run(&mut probe);
+    let noc = &probe.noc;
+    assert!(noc.is_idle(), "{cols}x{rows} b{buffer} seed {seed}: drains");
+    assert_eq!(noc.completed().len() as u64, id, "every packet delivered");
+    let mut line = format!(
+        "{cols}x{rows} b{buffer} c{cycle} s{seed:x} ticks={} stale={} completed={} digest={:016x}",
+        probe.ticks,
+        probe.stale,
+        noc.completed().len(),
+        probe.digest
+    );
+    for (node, dir, flits) in link_counters(noc) {
+        if flits > 0 {
+            line.push_str(&format!(" {node}{}={flits}", &format!("{dir:?}")[..1]));
+        }
+    }
+    line
+}
+
+fn tick_cases() -> String {
+    let meshes = [(1, 1), (1, 6), (6, 1), (2, 2), (3, 3), (4, 4), (5, 3)];
+    let mut out = String::new();
+    for (m, &mesh) in meshes.iter().enumerate() {
+        for (b, buffer) in [1, 2, 3, 4, 8].into_iter().enumerate() {
+            let k = (m * 5 + b) as u64;
+            // Alternate saturating and sparse windows, and three cycle
+            // times: 1 ns, an odd 1.0005 ns (1001 ps) and 2.5 ns.
+            let window = if k.is_multiple_of(2) { 3_000 } else { 40_000 };
+            let cycle_ns = [1.0, 1.0005, 2.5][k as usize % 3];
+            out.push_str(&tick_case(mesh, buffer, cycle_ns, 0x7100 + k, 200, window));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn tick_stream_matches_golden() {
+    let path = format!(
+        "{}/../../tests/golden/noc_ticks.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let fresh = tick_cases();
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let expected: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#')).collect();
+    let actual: Vec<&str> = fresh.lines().collect();
+    for (i, (e, a)) in expected.iter().zip(&actual).enumerate() {
+        assert_eq!(a, e, "tick case {i} drifted from {path}");
+    }
+    assert_eq!(actual.len(), expected.len(), "tick case count drifted");
 }

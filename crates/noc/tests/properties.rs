@@ -44,9 +44,9 @@ proptest! {
             1..40,
         ),
     ) {
-        // `is_idle` and `next_activation` read the network's count of
-        // buffered flits; a drifting count would stall or spin the
-        // event-driven path.
+        // `is_idle` and `next_activation` read the network's sets of
+        // routers holding flits and of queued sources; a set that drifts
+        // from the buffers would stall or spin the event-driven path.
         let mut noc = NocSim::new(
             NocConfig::new(cols, rows).with_buffer_flits(buffer),
         );
