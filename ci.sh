@@ -12,7 +12,7 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc (rustdoc warnings are errors) =="
 # The vendored crates carry rustdoc warnings of their own, so they are excluded.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-    --exclude proptest --exclude criterion --exclude serde --exclude serde_derive
+    --exclude proptest --exclude serde --exclude serde_derive
 
 echo "== cargo test (all targets) =="
 cargo test -q --all-targets

@@ -46,6 +46,13 @@ pub enum AdmissionError {
     },
     /// The scenario sink node lies outside the mesh.
     SinkOutsideMesh,
+    /// A scenario mesh has a zero dimension.
+    EmptyMesh,
+    /// An activated application sits on a node outside the scenario mesh.
+    NodeOutsideMesh {
+        /// The misplaced application.
+        app: AppId,
+    },
     /// The application is quarantined after repeated watchdog
     /// reclamations and cannot be admitted until the cooldown expires.
     Quarantined {
@@ -93,6 +100,8 @@ impl std::fmt::Display for AdmissionError {
                 "horizon before the last event: horizon {horizon} < event at {last_event}"
             ),
             AdmissionError::SinkOutsideMesh => write!(f, "sink outside mesh"),
+            AdmissionError::EmptyMesh => write!(f, "mesh dimensions must be non-zero"),
+            AdmissionError::NodeOutsideMesh { app } => write!(f, "{app} sits outside the mesh"),
             AdmissionError::Quarantined { app, until_cycle } => {
                 write!(f, "{app} is quarantined until cycle {until_cycle}")
             }

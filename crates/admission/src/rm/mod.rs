@@ -1012,7 +1012,7 @@ mod tests {
     #[test]
     fn admission_transitions_modes_and_rates() {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0);
-        for n in 1..=4u32 {
+        for n in 1..=64u32 {
             let out = rm.request_admission(be(n), SimTime::from_ns(n as f64 * 1000.0));
             assert!(out.admitted);
             assert_eq!(out.mode, SystemMode(n as usize));
@@ -1020,8 +1020,8 @@ mod tests {
                 assert!((tb.rate() - 1.0 / n as f64).abs() < 1e-12);
             }
         }
-        assert_eq!(rm.mode_changes(), 4);
-        assert_eq!(rm.active().len(), 4);
+        assert_eq!(rm.mode_changes(), 64);
+        assert_eq!(rm.active().len(), 64);
     }
 
     #[test]

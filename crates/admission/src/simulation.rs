@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use autoplat_noc::{NocConfig, NocSim, NodeId, Packet};
+use autoplat_noc::{Mesh, NocConfig, NocSim, NodeId, Packet};
 use autoplat_sim::engine::{EventSink, Process};
 use autoplat_sim::metrics::MetricsRegistry;
 use autoplat_sim::{ClientFault, Engine, FaultPlan, SimTime};
@@ -335,9 +335,9 @@ impl<P: RatePolicy> Scenario<P> {
     ///
     /// # Panics
     ///
-    /// Panics if events are not in non-decreasing cycle order, reference
-    /// nodes outside the mesh, or the horizon precedes the last event;
-    /// use [`Scenario::try_run`] for a typed error.
+    /// Panics on a zero mesh dimension, unordered events, nodes outside
+    /// the mesh, or a horizon before the last event; use
+    /// [`Scenario::try_run`] for a typed error.
     pub fn run(self) -> ScenarioOutcome {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -358,11 +358,22 @@ impl<P: RatePolicy> Scenario<P> {
                 });
             }
         }
-        let noc = NocSim::new(NocConfig::new(self.cols, self.rows));
-        let sink = self.sink.unwrap_or(NodeId(self.cols * self.rows - 1));
-        if !noc.mesh().contains(sink) {
+        if self.cols == 0 || self.rows == 0 {
+            return Err(AdmissionError::EmptyMesh);
+        }
+        let mesh = Mesh::new(self.cols, self.rows);
+        let sink = self.sink.unwrap_or(NodeId(mesh.nodes() - 1));
+        if !mesh.contains(sink) {
             return Err(AdmissionError::SinkOutsideMesh);
         }
+        for (_, event) in &self.events {
+            if let ScenarioEvent::Activate(app) = event {
+                if !mesh.contains(NodeId(app.node)) {
+                    return Err(AdmissionError::NodeOutsideMesh { app: app.id });
+                }
+            }
+        }
+        let noc = NocSim::new(NocConfig::new(self.cols, self.rows));
         let lossy = self.fault_plan.is_active()
             || self
                 .events
@@ -1038,6 +1049,16 @@ mod tests {
             .try_run()
             .unwrap_err();
         assert_eq!(err, AdmissionError::SinkOutsideMesh);
+        let err = Scenario::new(SymmetricPolicy::new(0.1, 8.0), 2, 2)
+            .event(0, ScenarioEvent::Activate(be(0, 0)))
+            .event(100, ScenarioEvent::Activate(be(1, 4)))
+            .try_run()
+            .unwrap_err();
+        assert_eq!(err, AdmissionError::NodeOutsideMesh { app: AppId(1) });
+        for (cols, rows) in [(0, 4), (4, 0)] {
+            let err = Scenario::new(SymmetricPolicy::new(0.1, 8.0), cols, rows).try_run();
+            assert_eq!(err.unwrap_err(), AdmissionError::EmptyMesh);
+        }
     }
 
     // --- lossy control plane ---
@@ -1057,6 +1078,28 @@ mod tests {
         assert!(out.recovery.control_messages_sent > 0);
         assert_eq!(out.recovery.messages_dropped, 0);
         assert!(out.recovery.reconverged_at_cycle.is_some());
+
+        // Three activations and a termination drain all they inject on the
+        // ideal plane, the same forced lossless path and under 1% loss.
+        for (plan, hang) in [
+            (FaultPlan::none(), false),
+            (FaultPlan::none(), true),
+            (FaultPlan::new().drop_probability(0.01), false),
+        ] {
+            let mut s = Scenario::new(SymmetricPolicy::new(0.1, 8.0), 4, 4)
+                .event(0, ScenarioEvent::Activate(be(0, 0)))
+                .event(2_000, ScenarioEvent::Activate(be(1, 3)))
+                .event(4_000, ScenarioEvent::Activate(be(2, 12)))
+                .event(6_000, ScenarioEvent::Terminate(AppId(1)))
+                .horizon(8_000)
+                .faults(plan, 0xfa11);
+            if hang {
+                s = s.event(7_000, ScenarioEvent::Hang(AppId(9), 1));
+            }
+            let out = s.run();
+            assert!(out.injected > 0);
+            assert_eq!(out.injected, out.delivered, "hang {hang}");
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Composed full-platform co-simulation: DRAM + NoC + MemGuard +
 //! scheduling + admission control under one clock on the shared
-//! discrete-event kernel, plus a tick-stepped vs event-driven NoC
-//! kernel benchmark on sparse traffic.
+//! discrete-event kernel.
 //!
-//! Flags: `--smoke` (short horizon and benchmark window),
+//! Flags: `--smoke` (short horizon),
 //! `--closed-loop` (compose the MPAM-monitored QoS loop on top),
 //! `--sensor-faults` (with `--closed-loop`: drop every monitor
 //! capture, forcing graceful degradation to safe static partitions),
@@ -11,10 +10,7 @@
 //! [`autoplat_bench::ExportOptions`]. Exports carry only the
 //! deterministic co-simulation metrics, never wall-clock timings.
 
-use std::time::Instant;
-
 use autoplat_bench::format::render_table;
-use autoplat_bench::perf::sparse_noc;
 use autoplat_bench::ExportOptions;
 use autoplat_core::platform::{CoSim, CoSimConfig, ControlCommand, QosReport};
 use autoplat_sim::{FaultPlan, SimTime};
@@ -153,8 +149,6 @@ fn main() {
         print_qos_summary(qos);
     }
 
-    kernel_benchmark(opts.smoke);
-
     if let Err(e) = opts.write(&report.metrics) {
         eprintln!("cosim: {e}");
         std::process::exit(1);
@@ -204,52 +198,4 @@ fn print_qos_summary(qos: &QosReport) {
         (Some(reason), None) => println!("degraded: {reason:?}"),
         _ => println!("loop healthy: no degradation"),
     }
-}
-
-/// Times the tick-stepped reference against the event-driven kernel
-/// path on identical sparse traffic. Wall-clock numbers go to stdout
-/// only; the exported metrics stay deterministic.
-fn kernel_benchmark(smoke: bool) {
-    let cycles: u64 = if smoke { 50_000 } else { 500_000 };
-    let gap: u64 = 1_000;
-
-    let mut dense = sparse_noc(cycles, gap);
-    let started = Instant::now();
-    dense.run_cycles_dense(cycles);
-    let dense_wall = started.elapsed();
-
-    let mut event = sparse_noc(cycles, gap);
-    let started = Instant::now();
-    event.run_cycles(cycles);
-    let event_wall = started.elapsed();
-
-    assert_eq!(
-        dense.completed().len(),
-        event.completed().len(),
-        "kernel paths must agree before their timings mean anything"
-    );
-
-    let rate = |wall: std::time::Duration| cycles as f64 / wall.as_secs_f64().max(1e-9);
-    println!(
-        "\nNoC kernel benchmark: {cycles} cycles, one 4-flit packet per {gap} cycles, \
-         {} delivered",
-        event.completed().len()
-    );
-    let rows = vec![
-        vec![
-            "tick-stepped".to_string(),
-            format!("{:.1}", dense_wall.as_secs_f64() * 1e3),
-            format!("{:.0}", rate(dense_wall)),
-        ],
-        vec![
-            "event-driven".to_string(),
-            format!("{:.1}", event_wall.as_secs_f64() * 1e3),
-            format!("{:.0}", rate(event_wall)),
-        ],
-    ];
-    print!("{}", render_table(&["path", "wall ms", "cycles/s"], &rows));
-    println!(
-        "event-driven speedup on sparse traffic: {:.1}x",
-        dense_wall.as_secs_f64() / event_wall.as_secs_f64().max(1e-9)
-    );
 }

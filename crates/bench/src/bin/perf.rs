@@ -13,13 +13,19 @@
 //! compared against, and debug timings would poison the record. The
 //! exporter refuses to write from an unoptimized build.
 //!
-//! Exits non-zero if the calendar queue fails to keep its hold-model
+//! Exits 1 if the calendar queue fails to keep its hold-model
 //! throughput at or above the retained `BinaryHeap` baseline — the
-//! regression this artifact exists to catch.
+//! regression this artifact exists to catch — or if one §IV-A WCD bound
+//! takes 1 ms or more on average.
 
 use autoplat_bench::format::render_table;
 use autoplat_bench::perf::{cosim_baselines, kernel_baselines, PerfScale};
 use autoplat_sim::metrics::{validate_json_export, MetricsRegistry};
+
+/// §IV-A: deriving both WCD bounds is "computationally inexpensive
+/// (milliseconds at most), hence could also be done online (e.g., for
+/// admission control)". A mean bound time at this budget fails the run.
+const WCD_BOUND_BUDGET_MS: f64 = 1.0;
 
 struct Args {
     quick: bool,
@@ -111,12 +117,15 @@ fn main() {
             "kernel.queue.heap.ties_events_per_sec",
             "kernel.engine.chain_events_per_sec",
             "kernel.engine.batch_events_per_sec",
+            "kernel.wcd.bounds_per_sec",
         ],
     );
     let speedup = kernel
         .gauge("kernel.queue.hold_speedup_vs_heap")
         .unwrap_or(0.0);
     println!("calendar vs heap on the hold model: {speedup:.2}x");
+    let bound_ms = 1e3 / kernel.gauge("kernel.wcd.bounds_per_sec").unwrap_or(0.0);
+    println!("mean time per WCD bound: {:.3} us", bound_ms * 1e3);
 
     let cosim = cosim_baselines(scale);
     print_gauges(
@@ -145,6 +154,13 @@ fn main() {
         eprintln!(
             "perf: REGRESSION — calendar queue hold-model throughput fell below \
              the BinaryHeap baseline ({speedup:.2}x)"
+        );
+        std::process::exit(1);
+    }
+    if bound_ms >= WCD_BOUND_BUDGET_MS {
+        eprintln!(
+            "perf: REGRESSION — one WCD bound took {bound_ms:.3} ms on average, \
+             at or over the paper's {WCD_BOUND_BUDGET_MS} ms"
         );
         std::process::exit(1);
     }

@@ -26,6 +26,19 @@ use autoplat_sim::{SimDuration, SimTime};
 /// lands in the paper's ~2 µs range (see EXPERIMENTS.md).
 pub const TABLE2_QUEUE_POSITION: u32 = 16;
 
+/// The write rates of Table II, in Gbps.
+pub(crate) const TABLE2_WRITE_RATES_GBPS: [f64; 4] = [4.0, 5.0, 6.0, 7.0];
+
+/// The Table II operating point at write rate `gbps`.
+pub(crate) fn table2_params(gbps: f64) -> WcdParams {
+    WcdParams {
+        timing: ddr3_1600(),
+        config: ControllerConfig::paper(),
+        writes: gbps_bucket(gbps, 8, 8),
+        queue_position: TABLE2_QUEUE_POSITION,
+    }
+}
+
 /// One row of Table I.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
@@ -129,16 +142,10 @@ pub struct Table2Row {
 ///
 /// Panics if a rate in the paper's range unexpectedly saturates.
 pub fn table2() -> Vec<Table2Row> {
-    [4.0, 5.0, 6.0, 7.0]
+    TABLE2_WRITE_RATES_GBPS
         .iter()
         .map(|&gbps| {
-            let params = WcdParams {
-                timing: ddr3_1600(),
-                config: ControllerConfig::paper(),
-                writes: gbps_bucket(gbps, 8, 8),
-                queue_position: TABLE2_QUEUE_POSITION,
-            };
-            let (lower, upper) = bounds(&params).expect("stable in the paper's range");
+            let (lower, upper) = bounds(&table2_params(gbps)).expect("stable in the paper's range");
             Table2Row {
                 write_rate_gbps: gbps,
                 lower_ns: lower.delay_ns,
@@ -634,12 +641,7 @@ pub struct ControllerAblationRow {
 /// write-rate headroom of each configuration.
 pub fn ablation_controller() -> Vec<ControllerAblationRow> {
     use autoplat_dram::design::{max_admissible_write_rate, sweep};
-    let base = WcdParams {
-        timing: ddr3_1600(),
-        config: ControllerConfig::paper(),
-        writes: gbps_bucket(4.0, 8, 8),
-        queue_position: TABLE2_QUEUE_POSITION,
-    };
+    let base = table2_params(4.0);
     sweep(&base, &[8, 16, 32], &[4, 16, 32])
         .into_iter()
         .map(|p| {

@@ -1,31 +1,35 @@
 //! Kernel and co-simulation perf baselines.
 //!
-//! One set of deterministic workloads, used twice: the Criterion target
-//! `benches/kernel.rs` times them interactively, and the `perf` binary
-//! runs them once and exports the measured throughputs through the
-//! `autoplat.metrics.v1` schema as `BENCH_kernel.json` /
-//! `BENCH_cosim.json` — the perf-trajectory artifacts every later PR is
-//! measured against. Unlike every other export in the workspace these
-//! files intentionally carry wall-clock-derived gauges; the counters
-//! beside them record the deterministic workload sizes so a reader can
-//! tell what was measured.
+//! Deterministic workloads that the `perf` binary runs once, exporting
+//! the measured throughputs through the `autoplat.metrics.v1` schema as
+//! `BENCH_kernel.json` / `BENCH_cosim.json` — the perf-trajectory
+//! artifacts every later change is measured against. Unlike every other
+//! export in the workspace these files intentionally carry
+//! wall-clock-derived gauges; the counters beside them record the
+//! deterministic workload sizes so a reader can tell what was measured.
 //!
 //! The queue workloads run against both [`EventQueue`] (the calendar
 //! queue) and [`HeapEventQueue`] (the retained `BinaryHeap` baseline), so
 //! each export records the new structure's throughput *and* the baseline
-//! it must stay ahead of.
+//! it must stay ahead of. The WCD workload times the §IV-A bounds at the
+//! Table II operating points, whose cost the paper puts at "milliseconds
+//! at most".
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use autoplat_core::platform::{CoSim, CoSimConfig};
+use autoplat_dram::wcd::bounds;
 use autoplat_noc::{NocConfig, NocSim, NodeId, Packet};
 use autoplat_sim::engine::EventSink;
 use autoplat_sim::event::HeapEventQueue;
 use autoplat_sim::{Engine, EventQueue, MetricsRegistry, Process, SimDuration, SimRng, SimTime};
 
+use crate::experiments::{table2_params, TABLE2_WRITE_RATES_GBPS};
+
 /// The two queue implementations under one face, so every workload runs
 /// identically against the calendar queue and the heap baseline.
-pub trait BenchQueue: Default {
+trait BenchQueue: Default {
     /// Human-readable implementation name used in metric keys.
     const NAME: &'static str;
     fn schedule(&mut self, at: SimTime, payload: u64);
@@ -119,7 +123,7 @@ impl PerfScale {
 /// delay into the future. This is the canonical priority-queue benchmark
 /// and the closest match to a simulator's mostly-monotonic hot path.
 /// Returns events cycled through the queue (checksum-guarded).
-pub fn hold_model<Q: BenchQueue>(population: u64, ops: u64) -> u64 {
+fn hold_model<Q: BenchQueue>(population: u64, ops: u64) -> u64 {
     let mut q = Q::default();
     let mut rng = SimRng::seed_from(0x5EED);
     for i in 0..population {
@@ -141,7 +145,7 @@ pub fn hold_model<Q: BenchQueue>(population: u64, ops: u64) -> u64 {
 /// releases and completion checks spread over milliseconds — where most
 /// calendar buckets between two pending events are empty. Returns events
 /// cycled through the queue (checksum-guarded).
-pub fn sparse_hold<Q: BenchQueue>(ops: u64) -> u64 {
+fn sparse_hold<Q: BenchQueue>(ops: u64) -> u64 {
     const PENDING: u64 = 16;
     const MAX_DELAY_PS: u64 = 2_000_000_000;
     let mut q = Q::default();
@@ -162,7 +166,7 @@ pub fn sparse_hold<Q: BenchQueue>(ops: u64) -> u64 {
 /// Burst model: schedule `n` events at seeded random times, then drain the
 /// queue dry. Exercises bucket distribution + per-bucket sorting against
 /// the heap's `O(n log n)`.
-pub fn burst<Q: BenchQueue>(n: u64) -> u64 {
+fn burst<Q: BenchQueue>(n: u64) -> u64 {
     let mut q = Q::default();
     let mut rng = SimRng::seed_from(0xB17E);
     for i in 0..n {
@@ -178,7 +182,7 @@ pub fn burst<Q: BenchQueue>(n: u64) -> u64 {
 /// Tie-heavy model: `n` events over only `instants` distinct timestamps,
 /// so same-instant FIFO batches dominate — the case the batched delivery
 /// path amortizes.
-pub fn tie_burst<Q: BenchQueue>(n: u64, instants: u64) -> u64 {
+fn tie_burst<Q: BenchQueue>(n: u64, instants: u64) -> u64 {
     let mut q = Q::default();
     let mut rng = SimRng::seed_from(0x71E5);
     for i in 0..n {
@@ -240,7 +244,7 @@ impl Process for Batcher {
 }
 
 /// Runs the same-instant batch workload; returns events delivered.
-pub fn engine_batches(width: u64, rounds: u64) -> u64 {
+fn engine_batches(width: u64, rounds: u64) -> u64 {
     let mut engine = Engine::new();
     engine.schedule_at(SimTime::ZERO, 0);
     let mut p = Batcher { width, rounds };
@@ -252,7 +256,7 @@ pub fn engine_batches(width: u64, rounds: u64) -> u64 {
 /// admission under one clock) to `horizon`; returns kernel events
 /// delivered. This is the kick-path number: everything flows through
 /// `Engine::run_until`.
-pub fn cosim_kick(horizon: SimTime) -> u64 {
+fn cosim_kick(horizon: SimTime) -> u64 {
     let mut cfg = CoSimConfig::small();
     cfg.horizon = horizon;
     CoSim::new(cfg).run().events_delivered
@@ -269,6 +273,22 @@ pub fn sparse_noc(cycles: u64, gap: u64) -> NocSim {
     n
 }
 
+/// Sweeps of the WCD workload at every scale: the paper's claim is about
+/// the cost of one bound, not about a workload size.
+const WCD_SWEEPS: u64 = 2_000;
+
+/// Computes the §IV-A upper and lower WCD bounds at each Table II write
+/// rate, `sweeps` times over; returns the number of bounds computed.
+fn wcd_bounds(sweeps: u64) -> u64 {
+    let params = TABLE2_WRITE_RATES_GBPS.map(table2_params);
+    for _ in 0..sweeps {
+        for p in &params {
+            black_box(bounds(black_box(p)).expect("Table II rates stay below saturation"));
+        }
+    }
+    2 * params.len() as u64 * sweeps
+}
+
 /// Wall-clock throughput of `ops` operations done by `f`.
 fn events_per_sec<F: FnOnce() -> u64>(f: F) -> (u64, f64) {
     let started = Instant::now();
@@ -280,8 +300,9 @@ fn events_per_sec<F: FnOnce() -> u64>(f: F) -> (u64, f64) {
 /// Measures every kernel workload at `scale` and publishes the results:
 /// `kernel.queue.<impl>.*_events_per_sec` gauges for both queue
 /// implementations (hold, sparse hold, burst and ties, plus the
-/// calendar-vs-heap hold speedup), and
-/// `kernel.engine.*` for the chain and batched-delivery paths. Counters
+/// calendar-vs-heap hold speedup),
+/// `kernel.engine.*` for the chain and batched-delivery paths, and
+/// `kernel.wcd.bounds_per_sec` for the Table II WCD bounds. Counters
 /// record the workload sizes.
 pub fn kernel_baselines(scale: PerfScale) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
@@ -332,6 +353,10 @@ pub fn kernel_baselines(scale: PerfScale) -> MetricsRegistry {
         events_per_sec(|| engine_batches(scale.batch_width, scale.batch_rounds));
     m.counter_add("kernel.engine.batch_events_delivered", delivered);
     m.gauge_set("kernel.engine.batch_events_per_sec", rate);
+
+    let (computed, rate) = events_per_sec(|| wcd_bounds(WCD_SWEEPS));
+    m.counter_add("kernel.wcd.bounds_computed", computed);
+    m.gauge_set("kernel.wcd.bounds_per_sec", rate);
 
     m
 }
@@ -435,5 +460,12 @@ mod tests {
             assert!(kernel.gauge(&key).is_some(), "{key}");
         }
         assert!(cosim.to_json().contains("cosim.kick.events_per_sec"));
+        assert_eq!(kernel.counter("kernel.wcd.bounds_computed"), 8 * WCD_SWEEPS);
+        let rate = kernel.gauge("kernel.wcd.bounds_per_sec");
+        assert!(rate.is_some_and(|r| r > 0.0), "{rate:?}");
+        for p in TABLE2_WRITE_RATES_GBPS.map(table2_params) {
+            let (lower, upper) = bounds(&p).expect("below saturation");
+            assert!(upper.delay_ns.is_finite() && upper.delay_ns >= lower.delay_ns);
+        }
     }
 }

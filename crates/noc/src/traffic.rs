@@ -3,8 +3,7 @@
 //! The admission-control layer of §V regulates *injection rates* at each
 //! source node; [`RegulatedSource`] models a source whose transmissions
 //! are released through a token bucket, while [`UniformRandom`] and
-//! [`HotspotTraffic`] provide the background loads the evaluation benches
-//! use.
+//! [`HotspotTraffic`] generate seeded background loads.
 
 use autoplat_netcalc::conformance::BucketState;
 use autoplat_netcalc::TokenBucket;
@@ -303,5 +302,16 @@ mod tests {
         }
         assert!(noc.run_until_idle(100_000));
         assert_eq!(noc.completed().len(), 10);
+
+        // Uniform-random background load drains too.
+        for size in [4u32, 8] {
+            let injections = UniformRandom::new(Mesh::new(size, size), 0.02, 4, 11).generate(500);
+            let mut noc = NocSim::new(NocConfig::new(size, size));
+            for inj in &injections {
+                noc.inject(inj.packet, inj.release_cycle);
+            }
+            assert!(noc.run_until_idle(1_000_000), "{size}x{size} must drain");
+            assert_eq!(noc.completed().len(), injections.len());
+        }
     }
 }
