@@ -27,7 +27,7 @@
 //! [`Crash`]: ScenarioEvent::Crash
 //! [`Hang`]: ScenarioEvent::Hang
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use autoplat_noc::{Mesh, NocConfig, NocSim, NodeId, Packet};
 use autoplat_sim::engine::{EventSink, Process};
@@ -537,6 +537,9 @@ impl<P: RatePolicy> Scenario<P> {
         let mut clients: BTreeMap<AppId, Client> = BTreeMap::new();
         let mut apps: BTreeMap<AppId, Application> = BTreeMap::new();
         let mut node_owner: BTreeMap<u32, AppId> = BTreeMap::new();
+        // Terminated apps keep their client for `terMsg` retransmissions
+        // but no longer report observations, as on the ideal path.
+        let mut terminated: BTreeSet<AppId> = BTreeSet::new();
         let mut rejected: Vec<AppId> = Vec::new();
         let mut observations = Vec::new();
         let mut next_packet_id = 0u64;
@@ -582,7 +585,7 @@ impl<P: RatePolicy> Scenario<P> {
             }
             // Flush the interval observations.
             if boundary > macro_start {
-                for app_id in clients.keys() {
+                for app_id in clients.keys().filter(|id| !terminated.contains(id)) {
                     let packets = packets_acc.get(app_id).copied().unwrap_or(0);
                     observations.push(IntervalObservation {
                         app: *app_id,
@@ -622,12 +625,14 @@ impl<P: RatePolicy> Scenario<P> {
                         apps.insert(app.id, app);
                         node_owner.insert(app.node, app.id);
                         clients.insert(app.id, client);
+                        terminated.remove(&app.id);
                     }
                     ScenarioEvent::Terminate(id) => {
                         if let Some(client) = clients.get_mut(&id) {
                             if let Some(env) = client.send_termination(cycle) {
                                 cp.send(cycle, env);
                             }
+                            terminated.insert(id);
                         }
                     }
                     ScenarioEvent::Crash(id) => {
@@ -1099,6 +1104,17 @@ mod tests {
             let out = s.run();
             assert!(out.injected > 0);
             assert_eq!(out.injected, out.delivered, "hang {hang}");
+            // App 1 reports while it runs and stops at its termination.
+            let app1: Vec<_> = out
+                .observations
+                .iter()
+                .filter(|o| o.app == AppId(1))
+                .collect();
+            assert!(app1.iter().any(|o| o.from_cycle < 6_000), "hang {hang}");
+            assert!(
+                app1.iter().all(|o| o.from_cycle < 6_000),
+                "terminated app still reported (hang {hang}): {app1:?}"
+            );
         }
     }
 

@@ -5,7 +5,7 @@
 //! * `--cases N` — cases per family (default 50, `--smoke` forces 5)
 //! * `--seed S` — master seed (default 7)
 //! * `--family NAME` — restrict to one family (dram, noc, memguard,
-//!   sched, determinism, closedloop, dpq, perbank, diff)
+//!   sched, determinism, closedloop, dpq, perbank, diff, fleet)
 //! * `--case-seed 0xHEX` — replay a single case seed (requires
 //!   `--family`); this is the reproducer line printed on failure
 //! * `--shards N` — fan the sweep across N worker threads (default 1);

@@ -33,7 +33,8 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Cases per family.
     pub cases: u64,
-    /// Restrict the sweep to one family (`None` = all six).
+    /// Restrict the sweep to one family (`None` = every family in
+    /// [`Family::ALL`]).
     pub family: Option<Family>,
     /// Oracle configuration (tests use this to break a bound on purpose).
     pub oracle: Oracle,

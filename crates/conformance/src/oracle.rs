@@ -29,11 +29,10 @@
 //!   bounded-access-latency bound, the adversarial probe sits above a
 //!   serialization floor, and the bound exceeds the witness by no more
 //!   than its known structural slack (tightness).
-//! * **PerBank** — the MemGuard trace invariants hold per bank (zero
-//!   budgets never grant, at most one overdraw, throttles point at the
-//!   next boundary, lazy == eager, one replenish per boundary), and a
-//!   saturating replay earns each bank at least `periods * budget` bytes
-//!   and at most one overdraw per period.
+//! * **PerBank** — the same scenario and the same MemGuard checks with
+//!   budgets keyed by bank, reported as `perbank.*`, plus a saturating
+//!   replay that earns each bank at least `periods * budget` bytes and at
+//!   most one overdraw per period.
 //! * **Diff** — one seeded stream through FR-FCFS, DPQ and per-bank
 //!   regulated FR-FCFS: each regime respects its own analytic bound, and
 //!   the WCD-tightness / throughput deltas are exported as observations.
@@ -63,7 +62,7 @@ use autoplat_noc::{Mesh, NocConfig, NocSim, NodeId, Packet, PacketRecord};
 use autoplat_regulation::process::boundary_after;
 use autoplat_regulation::{
     AccessDecision, ClosedLoopConfig, DegradationReason, MemGuard, MemGuardProcess,
-    PartitionTarget, PerBankMemGuard, PerBankProcess, RegulationEvent, SensorWatchdogConfig,
+    PartitionTarget, RegulationEvent, SensorWatchdogConfig,
 };
 use autoplat_sched::rta::response_times;
 use autoplat_sched::simulate::simulate_global_fp;
@@ -72,7 +71,7 @@ use autoplat_sim::{Engine, FaultPlan, MetricsRegistry, SimDuration, SimRng, SimT
 
 use crate::scenario::{
     ClosedLoopScenario, DeterminismScenario, DiffScenario, DpqScenario, DramScenario,
-    FleetScenario, MemGuardScenario, NocScenario, PerBankScenario, Scenario, SchedScenario,
+    FleetScenario, MemGuardScenario, NocScenario, Scenario, SchedScenario,
 };
 
 /// Absolute slack (ns / cycles / bytes) tolerated on float comparisons.
@@ -176,7 +175,7 @@ impl Oracle {
         match scenario {
             Scenario::Dram(s) => self.check_dram(s),
             Scenario::Noc(s) => check_noc(s).map(|r| (r, Vec::new())),
-            Scenario::MemGuard(s) => check_memguard(s).map(|r| (r, Vec::new())),
+            Scenario::MemGuard(s) => check_memguard(s, &MEMGUARD_NAMES).map(|r| (r, Vec::new())),
             Scenario::Sched(s) => check_sched(s).map(|r| (r, Vec::new())),
             Scenario::Determinism(s) => check_determinism(s).map(|r| (r, Vec::new())),
             Scenario::ClosedLoop(s) => check_closed_loop(s).map(|r| (r, Vec::new())),
@@ -344,135 +343,9 @@ impl Oracle {
         Ok((CaseResult::Pass, obs))
     }
 
-    fn check_perbank(&self, s: &PerBankScenario) -> Result<(CaseResult, Observations), Violation> {
+    fn check_perbank(&self, s: &MemGuardScenario) -> Result<(CaseResult, Observations), Violation> {
+        check_memguard(s, &PERBANK_NAMES)?;
         let period = SimDuration::from_ns(s.period_ns as f64);
-        let banks = s.budgets.len();
-        let mut lazy = PerBankMemGuard::new(period, s.budgets.clone());
-        let mut eager = PerBankMemGuard::new(period, s.budgets.clone());
-        let mut now_ns = 0u64;
-        let mut eager_boundary = period.as_ps();
-        for access in &s.accesses {
-            now_ns += access.gap_ns;
-            let now = SimTime::from_ns(now_ns as f64);
-            let bank = access.bank as usize % banks;
-            let budget = s.budgets[bank];
-            lazy.replenish(now);
-            let before = lazy.used(bank);
-            let decision = lazy.try_access(bank, access.bytes, now);
-            match decision {
-                AccessDecision::Granted => {
-                    if budget == 0 {
-                        return violation(
-                            "perbank.zero_budget_never_grants",
-                            format!("bank {bank} granted {} bytes at {now_ns} ns", access.bytes),
-                        );
-                    }
-                    if before >= budget {
-                        return violation(
-                            "perbank.no_grant_past_budget",
-                            format!(
-                                "bank {bank} at {now_ns} ns: {before} bytes already used >= \
-                                 budget {budget}, yet granted"
-                            ),
-                        );
-                    }
-                    if lazy.used(bank) >= budget + access.bytes {
-                        return violation(
-                            "perbank.single_overdraw",
-                            format!(
-                                "bank {bank}: used {} >= budget {budget} + access {}",
-                                lazy.used(bank),
-                                access.bytes
-                            ),
-                        );
-                    }
-                }
-                AccessDecision::ThrottledUntil(until) => {
-                    let expected = boundary_after(period, now);
-                    if until != expected {
-                        return violation(
-                            "perbank.throttle_points_to_boundary",
-                            format!(
-                                "bank {bank} at {now_ns} ns throttled until {} ps, \
-                                 boundary is {} ps",
-                                until.as_ps(),
-                                expected.as_ps()
-                            ),
-                        );
-                    }
-                    if until <= now {
-                        return violation(
-                            "perbank.throttle_in_future",
-                            format!(
-                                "throttle target {} ps <= now {} ps",
-                                until.as_ps(),
-                                now.as_ps()
-                            ),
-                        );
-                    }
-                }
-            }
-            // Differential: explicit boundary replenishment must take the
-            // same decision as the lazy roll.
-            while eager_boundary <= now.as_ps() {
-                eager.replenish(SimTime::from_ps(eager_boundary));
-                eager_boundary += period.as_ps();
-            }
-            let eager_decision = eager.try_access(bank, access.bytes, now);
-            if eager_decision != decision {
-                return violation(
-                    "perbank.lazy_matches_eager",
-                    format!(
-                        "bank {bank} at {now_ns} ns: lazy {decision:?} vs eager {eager_decision:?}"
-                    ),
-                );
-            }
-        }
-
-        // Event-driven path: the replenishment timer fires exactly once
-        // per boundary and leaves budgets fresh.
-        let mut pb = PerBankMemGuard::new(period, s.budgets.clone());
-        for (bank, &budget) in s.budgets.iter().enumerate() {
-            if budget > 0 {
-                pb.try_access(bank, budget.min(64), SimTime::ZERO);
-            }
-        }
-        let horizon = SimTime::ZERO + period * u64::from(s.horizon_periods) + period / 2;
-        let mut process = PerBankProcess::new(pb, horizon);
-        if process.first_boundary() != SimTime::ZERO + period {
-            return violation(
-                "perbank.first_boundary",
-                format!(
-                    "first boundary {} ps != period {} ps",
-                    process.first_boundary().as_ps(),
-                    period.as_ps()
-                ),
-            );
-        }
-        let mut engine: Engine<RegulationEvent> = Engine::new();
-        engine.schedule_at(process.first_boundary(), RegulationEvent::Replenish);
-        engine.run_until(&mut process, horizon);
-        if process.replenishments() != u64::from(s.horizon_periods) {
-            return violation(
-                "perbank.one_replenish_per_boundary",
-                format!(
-                    "{} replenishments over {} periods",
-                    process.replenishments(),
-                    s.horizon_periods
-                ),
-            );
-        }
-        for bank in 0..banks {
-            if process.regulator().used(bank) != 0 {
-                return violation(
-                    "perbank.replenish_resets_usage",
-                    format!(
-                        "bank {bank} still shows {} bytes used after the last boundary",
-                        process.regulator().used(bank)
-                    ),
-                );
-            }
-        }
 
         // Service guarantee under saturated demand: a bank with budget
         // `B > 0` hammered in `CHUNK`-byte accesses over `h` full periods
@@ -488,7 +361,7 @@ impl Oracle {
             if budget == 0 {
                 continue;
             }
-            let mut sat = PerBankMemGuard::new(period, s.budgets.clone());
+            let mut sat = MemGuard::new(period, s.budgets.clone());
             let mut t = SimTime::ZERO;
             let mut granted = 0u64;
             let mut steps = 0u64;
@@ -875,7 +748,7 @@ fn fleet_config(s: &FleetScenario, topology: FleetTopology, root_scale: f64) -> 
     }
 }
 
-/// Replays `workload` through a two-bank [`PerBankMemGuard`] (bank 0 —
+/// Replays `workload` through a [`MemGuard`] keyed by bank (bank 0 —
 /// reads — effectively unregulated, bank 1 — writes — on the scenario
 /// budget) and returns the stream with each request's arrival deferred to
 /// its grant time. Per-bank FIFO order is preserved and grant times are
@@ -884,7 +757,7 @@ fn regulate_workload(workload: &[Request], s: &DiffScenario) -> Result<Vec<Reque
     const BYTES_PER_REQ: u64 = 8;
     let period = SimDuration::from_ns(s.period_ns as f64);
     let budgets = vec![1u64 << 40, s.write_budget.max(BYTES_PER_REQ)];
-    let mut pb = PerBankMemGuard::new(period, budgets);
+    let mut pb = MemGuard::new(period, budgets);
     let reads: Vec<&Request> = workload.iter().filter(|r| r.bank == 0).collect();
     let writes: Vec<&Request> = workload.iter().filter(|r| r.bank != 0).collect();
     let mut out = Vec::with_capacity(workload.len());
@@ -1081,9 +954,55 @@ fn check_noc(s: &NocScenario) -> Result<CaseResult, Violation> {
     Ok(CaseResult::Pass)
 }
 
-fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
+/// The invariant identifiers one regulator family reports. `memguard`
+/// and `perbank` run the same trace-and-timer check on one [`MemGuard`],
+/// keyed by core or by bank; only these names differ.
+struct RegulatorNames {
+    /// What a budget index is, in violation details.
+    key: &'static str,
+    zero_budget_never_grants: &'static str,
+    no_grant_past_budget: &'static str,
+    single_overdraw: &'static str,
+    throttle_points_to_boundary: &'static str,
+    throttle_in_future: &'static str,
+    lazy_matches_eager: &'static str,
+    first_boundary: &'static str,
+    one_replenish_per_boundary: &'static str,
+    replenish_resets_usage: &'static str,
+}
+
+const MEMGUARD_NAMES: RegulatorNames = RegulatorNames {
+    key: "core",
+    zero_budget_never_grants: "memguard.zero_budget_never_grants",
+    no_grant_past_budget: "memguard.no_grant_past_budget",
+    single_overdraw: "memguard.single_overdraw",
+    throttle_points_to_boundary: "memguard.throttle_points_to_boundary",
+    throttle_in_future: "memguard.throttle_in_future",
+    lazy_matches_eager: "memguard.lazy_matches_eager",
+    first_boundary: "memguard.first_boundary",
+    one_replenish_per_boundary: "memguard.one_replenish_per_boundary",
+    replenish_resets_usage: "memguard.replenish_resets_usage",
+};
+
+const PERBANK_NAMES: RegulatorNames = RegulatorNames {
+    key: "bank",
+    zero_budget_never_grants: "perbank.zero_budget_never_grants",
+    no_grant_past_budget: "perbank.no_grant_past_budget",
+    single_overdraw: "perbank.single_overdraw",
+    throttle_points_to_boundary: "perbank.throttle_points_to_boundary",
+    throttle_in_future: "perbank.throttle_in_future",
+    lazy_matches_eager: "perbank.lazy_matches_eager",
+    first_boundary: "perbank.first_boundary",
+    one_replenish_per_boundary: "perbank.one_replenish_per_boundary",
+    replenish_resets_usage: "perbank.replenish_resets_usage",
+};
+
+/// The MemGuard trace and replenishment-timer invariants over `s`'s
+/// budgets, reported under `names`.
+fn check_memguard(s: &MemGuardScenario, names: &RegulatorNames) -> Result<CaseResult, Violation> {
     let period = SimDuration::from_ns(s.period_ns as f64);
-    let cores = s.budgets.len();
+    let indices = s.budgets.len();
+    let key = names.key;
     let mut lazy = MemGuard::new(period, s.budgets.clone());
     let mut eager = MemGuard::new(period, s.budgets.clone());
     let mut now_ns = 0u64;
@@ -1091,35 +1010,37 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
     for access in &s.accesses {
         now_ns += access.gap_ns;
         let now = SimTime::from_ns(now_ns as f64);
-        let core = access.core as usize % cores;
-        let budget = s.budgets[core];
-        let before = lazy_used_after_roll(&mut lazy, core, now);
-        let decision = lazy.try_access(core, access.bytes, now);
+        let idx = access.index as usize % indices;
+        let budget = s.budgets[idx];
+        // The usage the lazy regulator decides on, after its period roll.
+        lazy.replenish(now);
+        let before = lazy.used(idx);
+        let decision = lazy.try_access(idx, access.bytes, now);
         match decision {
             AccessDecision::Granted => {
                 if budget == 0 {
                     return violation(
-                        "memguard.zero_budget_never_grants",
-                        format!("core {core} granted {} bytes at {now_ns} ns", access.bytes),
+                        names.zero_budget_never_grants,
+                        format!("{key} {idx} granted {} bytes at {now_ns} ns", access.bytes),
                     );
                 }
                 if before >= budget {
                     return violation(
-                        "memguard.no_grant_past_budget",
+                        names.no_grant_past_budget,
                         format!(
-                            "core {core} at {now_ns} ns: {before} bytes already used >= \
+                            "{key} {idx} at {now_ns} ns: {before} bytes already used >= \
                              budget {budget}, yet granted"
                         ),
                     );
                 }
                 // At most one overdraw: usage after the grant is below
                 // budget + the access size.
-                if lazy.used(core) >= budget + access.bytes {
+                if lazy.used(idx) >= budget + access.bytes {
                     return violation(
-                        "memguard.single_overdraw",
+                        names.single_overdraw,
                         format!(
-                            "core {core}: used {} >= budget {budget} + access {}",
-                            lazy.used(core),
+                            "{key} {idx}: used {} >= budget {budget} + access {}",
+                            lazy.used(idx),
                             access.bytes
                         ),
                     );
@@ -1129,9 +1050,9 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
                 let expected = boundary_after(period, now);
                 if until != expected {
                     return violation(
-                        "memguard.throttle_points_to_boundary",
+                        names.throttle_points_to_boundary,
                         format!(
-                            "core {core} at {now_ns} ns throttled until {} ps, \
+                            "{key} {idx} at {now_ns} ns throttled until {} ps, \
                              boundary is {} ps",
                             until.as_ps(),
                             expected.as_ps()
@@ -1140,7 +1061,7 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
                 }
                 if until <= now {
                     return violation(
-                        "memguard.throttle_in_future",
+                        names.throttle_in_future,
                         format!(
                             "throttle target {} ps <= now {} ps",
                             until.as_ps(),
@@ -1156,12 +1077,12 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
             eager.replenish(SimTime::from_ps(eager_boundary));
             eager_boundary += period.as_ps();
         }
-        let eager_decision = eager.try_access(core, access.bytes, now);
+        let eager_decision = eager.try_access(idx, access.bytes, now);
         if eager_decision != decision {
             return violation(
-                "memguard.lazy_matches_eager",
+                names.lazy_matches_eager,
                 format!(
-                    "core {core} at {now_ns} ns: lazy {decision:?} vs eager {eager_decision:?}"
+                    "{key} {idx} at {now_ns} ns: lazy {decision:?} vs eager {eager_decision:?}"
                 ),
             );
         }
@@ -1170,16 +1091,16 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
     // Event-driven path: the replenishment timer fires exactly once per
     // boundary and leaves budgets fresh.
     let mut mg = MemGuard::new(period, s.budgets.clone());
-    for (core, &budget) in s.budgets.iter().enumerate() {
+    for (idx, &budget) in s.budgets.iter().enumerate() {
         if budget > 0 {
-            mg.try_access(core, budget.min(64), SimTime::ZERO);
+            mg.try_access(idx, budget.min(64), SimTime::ZERO);
         }
     }
     let horizon = SimTime::ZERO + period * u64::from(s.horizon_periods) + period / 2;
     let mut process = MemGuardProcess::new(mg, horizon);
     if process.first_boundary() != SimTime::ZERO + period {
         return violation(
-            "memguard.first_boundary",
+            names.first_boundary,
             format!(
                 "first boundary {} ps != period {} ps",
                 process.first_boundary().as_ps(),
@@ -1192,7 +1113,7 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
     engine.run_until(&mut process, horizon);
     if process.replenishments() != u64::from(s.horizon_periods) {
         return violation(
-            "memguard.one_replenish_per_boundary",
+            names.one_replenish_per_boundary,
             format!(
                 "{} replenishments over {} periods",
                 process.replenishments(),
@@ -1200,25 +1121,18 @@ fn check_memguard(s: &MemGuardScenario) -> Result<CaseResult, Violation> {
             ),
         );
     }
-    for core in 0..cores {
-        if process.memguard().used(core) != 0 {
+    for idx in 0..indices {
+        if process.memguard().used(idx) != 0 {
             return violation(
-                "memguard.replenish_resets_usage",
+                names.replenish_resets_usage,
                 format!(
-                    "core {core} still shows {} bytes used after the last boundary",
-                    process.memguard().used(core)
+                    "{key} {idx} still shows {} bytes used after the last boundary",
+                    process.memguard().used(idx)
                 ),
             );
         }
     }
     Ok(CaseResult::Pass)
-}
-
-/// Usage of `core` as the lazy regulator will see it for a decision at
-/// `now` (after its internal period roll), without issuing an access.
-fn lazy_used_after_roll(mg: &mut MemGuard, core: usize, now: SimTime) -> u64 {
-    mg.replenish(now);
-    mg.used(core)
 }
 
 fn check_sched(s: &SchedScenario) -> Result<CaseResult, Violation> {

@@ -36,8 +36,8 @@ pub enum Family {
     /// DPQ bounded-access-latency (Shah et al.) vs the DPQ arbiter
     /// simulator.
     Dpq,
-    /// Per-bank MemGuard guarantees (Sullivan et al.) vs the per-bank
-    /// regulator and its replenishment process.
+    /// Per-bank MemGuard guarantees (Sullivan et al.) vs `MemGuard` keyed
+    /// by bank and its replenishment process.
     PerBank,
     /// Cross-arbiter differential: the same adversarial request stream
     /// through FR-FCFS, DPQ and per-bank-regulated FR-FCFS, each checked
@@ -320,33 +320,37 @@ impl NocScenario {
 /// One regulated memory access in a [`MemGuardScenario`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MgAccess {
-    /// Issuing core.
-    pub core: u8,
+    /// Regulated index: the issuing core (`memguard`) or the target bank
+    /// (`perbank`).
+    pub index: u8,
     /// Access size in bytes.
     pub bytes: u64,
     /// Gap since the previous access in the trace, in nanoseconds.
     pub gap_ns: u64,
 }
 
-/// A MemGuard scenario: per-core budgets (possibly zero) and a global
-/// access trace replayed against both the lazy and the event-driven
-/// replenishment paths.
+/// A MemGuard scenario, shared by the `memguard` family (budgets keyed by
+/// core) and the `perbank` family (budgets keyed by DRAM bank): budgets
+/// (possibly zero) and a global access trace replayed against both the
+/// lazy and the event-driven replenishment paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemGuardScenario {
     /// Regulation period in nanoseconds.
     pub period_ns: u64,
-    /// Per-core budgets in bytes per period; zero means always throttled.
+    /// Budgets in bytes per period, one per index; zero means always
+    /// throttled.
     pub budgets: Vec<u64>,
     /// The access trace (times are cumulative gaps).
     pub accesses: Vec<MgAccess>,
-    /// Horizon for the event-driven run, in periods.
+    /// Horizon for the event-driven run and the `perbank` guarantee
+    /// replay, in full periods.
     pub horizon_periods: u32,
 }
 
 impl MemGuardScenario {
     fn generate(rng: &mut SimRng) -> MemGuardScenario {
-        let cores = rng.gen_range(1usize..=4);
-        let budgets = (0..cores)
+        let indices = rng.gen_range(1usize..=4);
+        let budgets = (0..indices)
             .map(|_| {
                 if rng.gen_bool(0.15) {
                     0
@@ -359,7 +363,7 @@ impl MemGuardScenario {
         let n_accesses = rng.gen_range(5usize..=60);
         let accesses = (0..n_accesses)
             .map(|_| MgAccess {
-                core: rng.gen_range(0u32..cores as u32) as u8,
+                index: rng.gen_range(0u32..indices as u32) as u8,
                 bytes: rng.gen_range(1u64..=512),
                 gap_ns: rng.gen_range(0u64..=2_000),
             })
@@ -386,14 +390,14 @@ impl MemGuardScenario {
             });
         }
         if self.budgets.len() > 1 {
-            let cores = self.budgets.len() - 1;
+            let indices = self.budgets.len() - 1;
             out.push(MemGuardScenario {
-                budgets: self.budgets[..cores].to_vec(),
+                budgets: self.budgets[..indices].to_vec(),
                 accesses: self
                     .accesses
                     .iter()
                     .copied()
-                    .filter(|a| (a.core as usize) < cores)
+                    .filter(|a| (a.index as usize) < indices)
                     .collect(),
                 ..self.clone()
             });
@@ -719,104 +723,6 @@ impl DpqScenario {
     }
 }
 
-/// One regulated access in a [`PerBankScenario`] trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PbAccess {
-    /// Target bank.
-    pub bank: u8,
-    /// Access size in bytes.
-    pub bytes: u64,
-    /// Gap since the previous access in the trace, in nanoseconds.
-    pub gap_ns: u64,
-}
-
-/// A per-bank regulation scenario: per-bank budgets (possibly zero), an
-/// access trace replayed against the lazy and event-driven replenishment
-/// paths, and a horizon over which the saturated-demand service guarantee
-/// is checked.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerBankScenario {
-    /// Regulation period in nanoseconds.
-    pub period_ns: u64,
-    /// Per-bank budgets in bytes per period; zero means always throttled.
-    pub budgets: Vec<u64>,
-    /// The access trace (times are cumulative gaps).
-    pub accesses: Vec<PbAccess>,
-    /// Horizon for the guarantee replay and the event-driven run, in full
-    /// periods.
-    pub horizon_periods: u32,
-}
-
-impl PerBankScenario {
-    fn generate(rng: &mut SimRng) -> PerBankScenario {
-        let banks = rng.gen_range(1usize..=4);
-        let budgets = (0..banks)
-            .map(|_| {
-                if rng.gen_bool(0.15) {
-                    0
-                } else {
-                    rng.gen_range(64u64..=4096)
-                }
-            })
-            .collect();
-        let period_ns = rng.gen_range(1_000u64..=20_000);
-        let n_accesses = rng.gen_range(5usize..=60);
-        let accesses = (0..n_accesses)
-            .map(|_| PbAccess {
-                bank: rng.gen_range(0u32..banks as u32) as u8,
-                bytes: rng.gen_range(1u64..=512),
-                gap_ns: rng.gen_range(0u64..=2_000),
-            })
-            .collect();
-        PerBankScenario {
-            period_ns,
-            budgets,
-            accesses,
-            horizon_periods: rng.gen_range(2u32..=6),
-        }
-    }
-
-    fn shrink(&self) -> Vec<PerBankScenario> {
-        let mut out = Vec::new();
-        if self.accesses.len() > 1 {
-            let half = self.accesses.len() / 2;
-            out.push(PerBankScenario {
-                accesses: self.accesses[..half].to_vec(),
-                ..self.clone()
-            });
-            out.push(PerBankScenario {
-                accesses: self.accesses[half..].to_vec(),
-                ..self.clone()
-            });
-        }
-        if self.budgets.len() > 1 {
-            let banks = self.budgets.len() - 1;
-            out.push(PerBankScenario {
-                budgets: self.budgets[..banks].to_vec(),
-                accesses: self
-                    .accesses
-                    .iter()
-                    .copied()
-                    .filter(|a| (a.bank as usize) < banks)
-                    .collect(),
-                ..self.clone()
-            });
-        }
-        if self.horizon_periods > 2 {
-            out.push(PerBankScenario {
-                horizon_periods: self.horizon_periods / 2,
-                ..self.clone()
-            });
-        }
-        out.retain(|s| s != self && !s.accesses.is_empty());
-        out
-    }
-
-    fn size(&self) -> u64 {
-        self.accesses.len() as u64 * 8 + self.budgets.len() as u64 + self.horizon_periods as u64
-    }
-}
-
 /// A cross-arbiter differential scenario: one adversarial FR-FCFS stream
 /// (embedded [`DramScenario`]) replayed through three arbitration
 /// regimes — FR-FCFS, DPQ (reads and writes as separate masters) and
@@ -1059,8 +965,8 @@ pub enum Scenario {
     ClosedLoop(ClosedLoopScenario),
     /// See [`DpqScenario`].
     Dpq(DpqScenario),
-    /// See [`PerBankScenario`].
-    PerBank(PerBankScenario),
+    /// See [`MemGuardScenario`].
+    PerBank(MemGuardScenario),
     /// See [`DiffScenario`].
     Diff(DiffScenario),
     /// See [`FleetScenario`].
@@ -1078,7 +984,7 @@ impl Scenario {
             Family::Determinism => Scenario::Determinism(DeterminismScenario::generate(rng)),
             Family::ClosedLoop => Scenario::ClosedLoop(ClosedLoopScenario::generate(rng)),
             Family::Dpq => Scenario::Dpq(DpqScenario::generate(rng)),
-            Family::PerBank => Scenario::PerBank(PerBankScenario::generate(rng)),
+            Family::PerBank => Scenario::PerBank(MemGuardScenario::generate(rng)),
             Family::Diff => Scenario::Diff(DiffScenario::generate(rng)),
             Family::Fleet => Scenario::Fleet(FleetScenario::generate(rng)),
         }

@@ -1,12 +1,25 @@
 //! Replays the pinned golden corpus: every case seed that ever mattered
 //! (first CI cases, shrunk reproducers of past hunts) must keep passing
 //! its oracle.
+//!
+//! The corpus only says pass or fail. `tests/golden/conformance_exports.txt`
+//! also pins what the regulator families export: the seed-7, 200-case
+//! `autoplat.metrics.v1` sweep of `memguard`, `perbank` (with its
+//! guarantee-utilization histogram) and `diff` (with its per-bank
+//! regulated throughput and tightness histograms). It was written once
+//! and is never regenerated.
 
-use autoplat_conformance::{run_case, Family, Oracle};
+use autoplat_conformance::{run_case, run_sweep, Family, Oracle, SweepConfig};
+use autoplat_sim::MetricsRegistry;
 
 const CORPUS: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/conformance_corpus.txt"
+));
+
+const EXPORTS: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/conformance_exports.txt"
 ));
 
 fn parse_corpus() -> Vec<(Family, u64, String)> {
@@ -62,4 +75,24 @@ fn every_corpus_case_passes_its_oracle() {
             );
         }
     }
+}
+
+#[test]
+fn regulator_family_exports_match_golden() {
+    let mut pinned = 0;
+    for line in EXPORTS.lines().filter(|l| !l.starts_with('#')) {
+        let (name, expected) = line
+            .split_once(' ')
+            .unwrap_or_else(|| panic!("malformed export line `{line}`"));
+        let family = Family::parse(name).unwrap_or_else(|| panic!("unknown family {name}"));
+        let report = run_sweep(&SweepConfig {
+            family: Some(family),
+            ..SweepConfig::new(7, 200)
+        });
+        let mut metrics = MetricsRegistry::new();
+        report.publish_metrics(&mut metrics);
+        assert_eq!(metrics.to_json(), expected, "{name} export drifted");
+        pinned += 1;
+    }
+    assert_eq!(pinned, 3, "memguard, perbank and diff are pinned");
 }

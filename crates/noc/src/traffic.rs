@@ -2,8 +2,8 @@
 //!
 //! The admission-control layer of §V regulates *injection rates* at each
 //! source node; [`RegulatedSource`] models a source whose transmissions
-//! are released through a token bucket, while [`UniformRandom`] and
-//! [`HotspotTraffic`] generate seeded background loads.
+//! are released through a token bucket, while [`UniformRandom`]
+//! generates a seeded background load.
 
 use autoplat_netcalc::conformance::BucketState;
 use autoplat_netcalc::TokenBucket;
@@ -80,63 +80,6 @@ impl UniformRandom {
                     });
                     id += 1;
                 }
-            }
-        }
-        out
-    }
-}
-
-/// Hotspot traffic: many sources hammering one destination (the §V
-/// motivating scenario of uncoordinated interference on shared resources).
-#[derive(Debug, Clone)]
-pub struct HotspotTraffic {
-    mesh: Mesh,
-    hotspot: NodeId,
-    packets_per_source: u32,
-    gap_cycles: u64,
-    flits: u32,
-}
-
-impl HotspotTraffic {
-    /// Creates a generator where every node except the hotspot sends
-    /// `packets_per_source` packets of `flits` flits, spaced `gap_cycles`
-    /// apart, all to `hotspot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hotspot is outside the mesh or `flits` is zero.
-    pub fn new(
-        mesh: Mesh,
-        hotspot: NodeId,
-        packets_per_source: u32,
-        gap_cycles: u64,
-        flits: u32,
-    ) -> Self {
-        assert!(mesh.contains(hotspot), "hotspot outside mesh");
-        assert!(flits > 0, "packets need flits");
-        HotspotTraffic {
-            mesh,
-            hotspot,
-            packets_per_source,
-            gap_cycles,
-            flits,
-        }
-    }
-
-    /// Generates the injections.
-    pub fn generate(&self) -> Vec<Injection> {
-        let mut out = Vec::new();
-        let mut id = 0u64;
-        for src in 0..self.mesh.nodes() {
-            if NodeId(src) == self.hotspot {
-                continue;
-            }
-            for k in 0..self.packets_per_source {
-                out.push(Injection {
-                    packet: Packet::new(id, NodeId(src), self.hotspot, self.flits),
-                    release_cycle: k as u64 * self.gap_cycles,
-                });
-                id += 1;
             }
         }
         out
@@ -240,24 +183,6 @@ mod tests {
     fn uniform_random_never_self_sends() {
         let inj = UniformRandom::new(Mesh::new(3, 3), 0.2, 1, 11).generate(500);
         assert!(inj.iter().all(|i| i.packet.src != i.packet.dest));
-    }
-
-    #[test]
-    fn hotspot_targets_one_node() {
-        let mesh = Mesh::new(3, 3);
-        let hs = NodeId(4);
-        let inj = HotspotTraffic::new(mesh, hs, 3, 10, 2).generate();
-        assert_eq!(inj.len(), 8 * 3);
-        assert!(inj
-            .iter()
-            .all(|i| i.packet.dest == hs && i.packet.src != hs));
-        // Spacing respected per source.
-        let from0: Vec<u64> = inj
-            .iter()
-            .filter(|i| i.packet.src == NodeId(0))
-            .map(|i| i.release_cycle)
-            .collect();
-        assert_eq!(from0, vec![0, 10, 20]);
     }
 
     #[test]

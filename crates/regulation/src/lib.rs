@@ -7,13 +7,17 @@
 //! bandwidths on the level of cores, hypervisor partitions or single
 //! applications using software-based mechanisms such as Memguard \[6\]".
 //!
-//! * [`perf`] — the per-core performance-counter abstraction the
-//!   regulator reads;
-//! * [`memguard`] — a MemGuard-style regulator: per-core bandwidth
-//!   budgets replenished every period, with cores throttled until the
-//!   next period once their budget is spent;
+//! * [`memguard`] — a MemGuard-style regulator: bandwidth budgets keyed
+//!   by core or by DRAM bank, replenished every period, with accesses
+//!   throttled until the next period once their budget is spent; its
+//!   per-period usage counters stand in for the performance counters;
+//! * [`process`] — the regulator's period roll as a timer on the shared
+//!   event kernel;
+//! * [`closed_loop`] — monitor-driven budget retuning with degradation
+//!   to safe static partitions;
 //! * [`shaper`] — a [`SimTime`]-domain token-bucket traffic shaper (the
-//!   hardware-friendly regulation primitive of §IV-A).
+//!   hardware-friendly regulation primitive of §IV-A; only its own tests
+//!   drive it today).
 //!
 //! # Examples
 //!
@@ -38,7 +42,6 @@
 
 pub mod closed_loop;
 pub mod memguard;
-pub mod perf;
 pub mod process;
 pub mod shaper;
 
@@ -46,7 +49,6 @@ pub use closed_loop::{
     ClosedLoopConfig, ClosedLoopController, DegradationReason, LoopAction, MonitorCapture,
     PartitionTarget, SensorWatchdogConfig,
 };
-pub use memguard::{AccessDecision, MemGuard, PerBankMemGuard};
-pub use perf::PerfCounters;
-pub use process::{MemGuardProcess, PerBankProcess, RegulationEvent};
+pub use memguard::{AccessDecision, MemGuard};
+pub use process::{MemGuardProcess, RegulationEvent};
 pub use shaper::TrafficShaper;

@@ -1,24 +1,31 @@
-//! MemGuard-style per-core memory-bandwidth regulation
+//! MemGuard-style memory-bandwidth regulation
 //! (Yun et al., RTAS 2013 — reference \[6\] of the paper).
 //!
-//! Each core receives a bandwidth **budget** (bytes per regulation
-//! period). The regulator reads the performance counters on every access;
-//! once a core's budget is spent, its further accesses are **throttled**
-//! — deferred to the start of the next period, when all budgets
-//! replenish. The sum of guaranteed budgets must not exceed the
+//! Each regulated index — a core, or a DRAM bank as in Sullivan et
+//! al.'s per-bank regulation — receives a bandwidth **budget** (bytes
+//! per regulation period). Every access is charged to its index's
+//! per-period usage counter, the model's stand-in for the performance
+//! counter MemGuard reads; once a budget is spent, further accesses are
+//! **throttled** — deferred to the start of the next period, when all
+//! budgets replenish. The sum of guaranteed budgets must not exceed the
 //! guaranteed (worst-case) memory bandwidth for the reservation to hold.
+//!
+//! Keying by core regulates demand but leaves two cores within budget
+//! free to collide on one bank; keying by bank bounds the load each bank
+//! receives per period. Either way, under saturated demand an index with
+//! budget `B` is granted at least `h·B` bytes over `h` full periods and
+//! at most one overdraw access past `B` per period (the MemGuard
+//! counter-overflow rule).
 
 use autoplat_sim::metrics::{HistogramSketch, MetricsRegistry};
 use autoplat_sim::{SimDuration, SimTime};
-
-use crate::perf::PerfCounters;
 
 /// The regulator's verdict on one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessDecision {
     /// Budget available: proceed now.
     Granted,
-    /// Budget exhausted: the core stalls until the given instant (the
+    /// Budget exhausted: the access stalls until the given instant (the
     /// next period boundary).
     ThrottledUntil(SimTime),
 }
@@ -48,14 +55,16 @@ pub struct MemGuard {
     used: Vec<u64>,
     period_index: u64,
     throttle_events: Vec<u64>,
+    /// Lifetime bytes granted per index (survives period rolls).
+    granted_total: Vec<u64>,
     /// Distribution of throttle wait times (ns): how long each throttled
     /// access must stall until its period boundary.
     throttle_wait: HistogramSketch,
-    counters: PerfCounters,
 }
 
 impl MemGuard {
-    /// Creates a regulator with one budget (bytes/period) per core.
+    /// Creates a regulator with one budget (bytes/period) per regulated
+    /// index (core or bank).
     ///
     /// # Panics
     ///
@@ -70,12 +79,12 @@ impl MemGuard {
             used: vec![0; cores],
             period_index: 0,
             throttle_events: vec![0; cores],
+            granted_total: vec![0; cores],
             throttle_wait: HistogramSketch::new(),
-            counters: PerfCounters::new(cores),
         }
     }
 
-    /// Number of regulated cores.
+    /// Number of regulated indices (cores or banks).
     pub fn cores(&self) -> usize {
         self.budgets.len()
     }
@@ -120,12 +129,7 @@ impl MemGuard {
         if idx > self.period_index {
             self.period_index = idx;
             self.used.fill(0);
-            self.counters.reset_all();
         }
-    }
-
-    fn roll(&mut self, now: SimTime) {
-        self.replenish(now);
     }
 
     /// The start of the period following the one containing `now`.
@@ -136,7 +140,7 @@ impl MemGuard {
 
     /// Regulates one access of `bytes` by `core` at `now`.
     ///
-    /// Time must be non-decreasing across calls (per-core interleaving is
+    /// Time must be non-decreasing across calls (interleaving indices is
     /// fine). An access larger than the whole budget is granted at a
     /// period boundary (it can never fit otherwise) and overdraws that
     /// period — matching MemGuard, which only throttles *after* the
@@ -146,7 +150,7 @@ impl MemGuard {
     ///
     /// Panics if `core` is out of range.
     pub fn try_access(&mut self, core: usize, bytes: u64, now: SimTime) -> AccessDecision {
-        self.roll(now);
+        self.replenish(now);
         if self.budgets[core] == 0 || self.used[core] >= self.budgets[core] {
             self.throttle_events[core] += 1;
             let boundary = self.next_boundary(now);
@@ -155,7 +159,7 @@ impl MemGuard {
             return AccessDecision::ThrottledUntil(boundary);
         }
         self.used[core] += bytes;
-        self.counters.record(core, bytes, now);
+        self.granted_total[core] += bytes;
         AccessDecision::Granted
     }
 
@@ -177,10 +181,13 @@ impl MemGuard {
         self.throttle_events[core]
     }
 
-    /// The underlying performance counters (lifetime totals survive
-    /// period rolls).
-    pub fn counters(&self) -> &PerfCounters {
-        &self.counters
+    /// Lifetime bytes granted to `core` across all periods.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn granted_total(&self, core: usize) -> u64 {
+        self.granted_total[core]
     }
 
     /// Distribution of throttle wait times so far (ns per throttled
@@ -210,7 +217,7 @@ impl MemGuard {
             );
             metrics.counter_add(
                 format!("memguard.core.{core}.bytes_served"),
-                self.counters.total(core).bytes,
+                self.granted_total[core],
             );
             metrics.gauge_set(
                 format!("memguard.core.{core}.budget_bytes"),
@@ -218,219 +225,6 @@ impl MemGuard {
             );
         }
         metrics.merge_histogram("memguard.throttle_wait_ns", &self.throttle_wait);
-    }
-}
-
-/// A per-**bank** MemGuard variant (Sullivan et al.).
-///
-/// Classic MemGuard keys budgets by requesting core, which regulates
-/// *demand* but leaves bank conflicts unmanaged: two cores within budget
-/// can still collide on one bank. Keying the budget by **DRAM bank**
-/// instead bounds the load any bank can receive per period, which is the
-/// quantity the per-bank service guarantee is stated over: a bank with
-/// budget `B` bytes/period serves at least `h·B` bytes over `h` full
-/// periods of saturated demand, and the regulator admits at most one
-/// overdraw access past `B` per period (the MemGuard counter-overflow
-/// rule).
-///
-/// Replenishment semantics are identical to [`MemGuard`] — lazy rolls
-/// from [`try_access`](PerBankMemGuard::try_access), eager rolls from
-/// [`crate::process::PerBankProcess`], idempotent per period — so the two
-/// regulators are directly comparable in the conformance harness.
-///
-/// # Examples
-///
-/// ```
-/// use autoplat_regulation::{AccessDecision, PerBankMemGuard};
-/// use autoplat_sim::{SimDuration, SimTime};
-///
-/// let mut pb = PerBankMemGuard::new(SimDuration::from_us(1.0), vec![64, 0]);
-/// assert_eq!(pb.try_access(0, 64, SimTime::ZERO), AccessDecision::Granted);
-/// // Bank 1 has no budget: always throttled to the next boundary.
-/// let next = SimTime::ZERO + SimDuration::from_us(1.0);
-/// assert_eq!(
-///     pb.try_access(1, 8, SimTime::ZERO),
-///     AccessDecision::ThrottledUntil(next)
-/// );
-/// ```
-#[derive(Debug, Clone)]
-pub struct PerBankMemGuard {
-    period: SimDuration,
-    budgets: Vec<u64>,
-    used: Vec<u64>,
-    period_index: u64,
-    throttle_events: Vec<u64>,
-    /// Lifetime bytes granted per bank (survives period rolls).
-    granted_total: Vec<u64>,
-    /// Distribution of throttle wait times (ns).
-    throttle_wait: HistogramSketch,
-}
-
-impl PerBankMemGuard {
-    /// Creates a regulator with one budget (bytes/period) per bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero or `budgets` is empty.
-    pub fn new(period: SimDuration, budgets: Vec<u64>) -> Self {
-        assert!(!period.is_zero(), "regulation period must be non-zero");
-        assert!(!budgets.is_empty(), "need at least one bank budget");
-        let banks = budgets.len();
-        PerBankMemGuard {
-            period,
-            budgets,
-            used: vec![0; banks],
-            period_index: 0,
-            throttle_events: vec![0; banks],
-            granted_total: vec![0; banks],
-            throttle_wait: HistogramSketch::new(),
-        }
-    }
-
-    /// Number of regulated banks.
-    pub fn banks(&self) -> usize {
-        self.budgets.len()
-    }
-
-    /// The regulation period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// The budget of `bank` in bytes per period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn budget(&self, bank: usize) -> u64 {
-        self.budgets[bank]
-    }
-
-    /// Updates the budget of `bank` (takes effect immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn set_budget(&mut self, bank: usize, bytes_per_period: u64) {
-        self.budgets[bank] = bytes_per_period;
-    }
-
-    /// The service floor of `bank` over `periods` **full** periods of
-    /// saturated demand: `budget · periods` bytes. This is the guarantee
-    /// the conformance oracle checks the regulator against.
-    pub fn guaranteed_bytes(&self, bank: usize, periods: u64) -> u64 {
-        self.budgets[bank].saturating_mul(periods)
-    }
-
-    /// Whether the budgets are feasible against a guaranteed memory
-    /// bandwidth (bytes/second): same reservation invariant as
-    /// [`MemGuard::is_feasible`], summed over banks.
-    pub fn is_feasible(&self, guaranteed_bytes_per_sec: f64) -> bool {
-        let total: u64 = self.budgets.iter().sum();
-        total as f64 <= guaranteed_bytes_per_sec * self.period.as_secs()
-    }
-
-    /// Rolls the regulation period forward to include `now`, replenishing
-    /// every bank budget at each boundary. Idempotent per period; safe to
-    /// mix with the eager rolls of [`crate::process::PerBankProcess`].
-    pub fn replenish(&mut self, now: SimTime) {
-        let idx = now.as_ps() / self.period.as_ps();
-        if idx > self.period_index {
-            self.period_index = idx;
-            self.used.fill(0);
-        }
-    }
-
-    /// The start of the period following the one containing `now`.
-    fn next_boundary(&self, now: SimTime) -> SimTime {
-        let idx = now.as_ps() / self.period.as_ps();
-        SimTime::from_ps((idx + 1) * self.period.as_ps())
-    }
-
-    /// Regulates one access of `bytes` to `bank` at `now`.
-    ///
-    /// Time must be non-decreasing across calls (per-bank interleaving is
-    /// fine). Overdraw semantics match [`MemGuard::try_access`]: the first
-    /// access in a period always fits (and may overdraw); once the usage
-    /// counter reaches the budget, further accesses stall to the next
-    /// boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn try_access(&mut self, bank: usize, bytes: u64, now: SimTime) -> AccessDecision {
-        self.replenish(now);
-        if self.budgets[bank] == 0 || self.used[bank] >= self.budgets[bank] {
-            self.throttle_events[bank] += 1;
-            let boundary = self.next_boundary(now);
-            self.throttle_wait
-                .record(boundary.saturating_since(now).as_ns());
-            return AccessDecision::ThrottledUntil(boundary);
-        }
-        self.used[bank] += bytes;
-        self.granted_total[bank] += bytes;
-        AccessDecision::Granted
-    }
-
-    /// Bytes used by `bank` in the current period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn used(&self, bank: usize) -> u64 {
-        self.used[bank]
-    }
-
-    /// Number of throttle decisions issued to `bank` so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn throttle_events(&self, bank: usize) -> u64 {
-        self.throttle_events[bank]
-    }
-
-    /// Lifetime bytes granted to `bank` across all periods.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn granted_total(&self, bank: usize) -> u64 {
-        self.granted_total[bank]
-    }
-
-    /// Distribution of throttle wait times so far (ns per throttled
-    /// access).
-    pub fn throttle_wait(&self) -> &HistogramSketch {
-        &self.throttle_wait
-    }
-
-    /// Publishes the regulator's observability data into `metrics` under
-    /// the `perbank.*` namespace, mirroring
-    /// [`MemGuard::publish_metrics`]:
-    ///
-    /// * counters — `perbank.throttle_events` (total) and per-bank
-    ///   `perbank.bank.{i}.throttle_events` /
-    ///   `perbank.bank.{i}.bytes_served`;
-    /// * gauges — per-bank `perbank.bank.{i}.budget_bytes`;
-    /// * histogram — `perbank.throttle_wait_ns`.
-    pub fn publish_metrics(&self, metrics: &mut MetricsRegistry) {
-        metrics.counter_add("perbank.throttle_events", self.throttle_events.iter().sum());
-        for bank in 0..self.banks() {
-            metrics.counter_add(
-                format!("perbank.bank.{bank}.throttle_events"),
-                self.throttle_events[bank],
-            );
-            metrics.counter_add(
-                format!("perbank.bank.{bank}.bytes_served"),
-                self.granted_total[bank],
-            );
-            metrics.gauge_set(
-                format!("perbank.bank.{bank}.budget_bytes"),
-                self.budgets[bank] as f64,
-            );
-        }
-        metrics.merge_histogram("perbank.throttle_wait_ns", &self.throttle_wait);
     }
 }
 
@@ -490,6 +284,7 @@ mod tests {
             m.try_access(0, 1, SimTime::ZERO),
             AccessDecision::ThrottledUntil(_)
         ));
+        assert_eq!(m.granted_total(0), 0);
     }
 
     #[test]
@@ -525,8 +320,8 @@ mod tests {
         let mut m = mg(vec![1000]);
         let _ = m.try_access(0, 100, SimTime::ZERO);
         let _ = m.try_access(0, 100, SimTime::from_us(1.5)); // next period
-        assert_eq!(m.counters().total(0).bytes, 200);
-        assert_eq!(m.counters().sample(0).bytes, 100, "sample reset at roll");
+        assert_eq!(m.granted_total(0), 200);
+        assert_eq!(m.used(0), 100, "usage resets at the boundary");
     }
 
     #[test]
@@ -538,6 +333,30 @@ mod tests {
             panic!("expected throttle")
         };
         assert_eq!(m.try_access(0, 64, t), AccessDecision::Granted);
+    }
+
+    #[test]
+    fn guarantee_floor_holds_under_saturated_demand() {
+        // Saturate budget 256 with 64-byte chunks for 5 full periods: the
+        // guarantee h·B must be met exactly (256 divides evenly), never
+        // undershot.
+        let mut m = mg(vec![256]);
+        let horizon = SimTime::from_us(5.0);
+        let mut t = SimTime::ZERO;
+        let mut granted = 0u64;
+        while t < horizon {
+            match m.try_access(0, 64, t) {
+                AccessDecision::Granted => granted += 64,
+                AccessDecision::ThrottledUntil(u) => {
+                    if u >= horizon {
+                        break;
+                    }
+                    t = u;
+                }
+            }
+        }
+        assert_eq!(granted, 5 * m.budget(0));
+        assert_eq!(m.granted_total(0), granted);
     }
 
     #[test]
@@ -573,118 +392,5 @@ mod tests {
         let wait = reg.histogram("memguard.throttle_wait_ns").expect("stalls");
         assert_eq!(wait.count(), 2);
         autoplat_sim::metrics::validate_csv_export(&reg.to_csv()).expect("schema");
-    }
-
-    fn pb(budgets: Vec<u64>) -> PerBankMemGuard {
-        PerBankMemGuard::new(SimDuration::from_us(1.0), budgets)
-    }
-
-    #[test]
-    fn perbank_grants_until_bank_budget_exhausted() {
-        let mut p = pb(vec![256]);
-        assert_eq!(p.try_access(0, 128, SimTime::ZERO), AccessDecision::Granted);
-        assert_eq!(p.try_access(0, 128, SimTime::ZERO), AccessDecision::Granted);
-        assert_eq!(
-            p.try_access(0, 64, SimTime::from_ns(500.0)),
-            AccessDecision::ThrottledUntil(SimTime::from_us(1.0))
-        );
-        assert_eq!(p.throttle_events(0), 1);
-        assert_eq!(p.used(0), 256);
-    }
-
-    #[test]
-    fn perbank_banks_are_isolated() {
-        let mut p = pb(vec![100, 100]);
-        let _ = p.try_access(0, 100, SimTime::ZERO);
-        assert!(matches!(
-            p.try_access(0, 1, SimTime::ZERO),
-            AccessDecision::ThrottledUntil(_)
-        ));
-        assert_eq!(p.try_access(1, 100, SimTime::ZERO), AccessDecision::Granted);
-    }
-
-    #[test]
-    fn perbank_zero_budget_bank_always_throttles() {
-        let mut p = pb(vec![0, 64]);
-        assert!(matches!(
-            p.try_access(0, 1, SimTime::ZERO),
-            AccessDecision::ThrottledUntil(_)
-        ));
-        assert_eq!(p.granted_total(0), 0);
-    }
-
-    #[test]
-    fn perbank_single_overdraw_then_throttle() {
-        let mut p = pb(vec![100]);
-        assert_eq!(p.try_access(0, 300, SimTime::ZERO), AccessDecision::Granted);
-        assert!(matches!(
-            p.try_access(0, 1, SimTime::ZERO),
-            AccessDecision::ThrottledUntil(_)
-        ));
-    }
-
-    #[test]
-    fn perbank_granted_total_survives_period_rolls() {
-        let mut p = pb(vec![100]);
-        let _ = p.try_access(0, 100, SimTime::ZERO);
-        let _ = p.try_access(0, 100, SimTime::from_us(1.5));
-        assert_eq!(p.granted_total(0), 200);
-        assert_eq!(p.used(0), 100, "usage resets at the boundary");
-    }
-
-    #[test]
-    fn perbank_guarantee_floor_holds_under_saturated_demand() {
-        // Saturate bank 0 (budget 256) with 64-byte chunks for 5 full
-        // periods: the guarantee h·B must be met exactly (256 divides
-        // evenly), never undershot.
-        let mut p = pb(vec![256]);
-        let horizon = SimTime::from_us(5.0);
-        let mut t = SimTime::ZERO;
-        let mut granted = 0u64;
-        while t < horizon {
-            match p.try_access(0, 64, t) {
-                AccessDecision::Granted => granted += 64,
-                AccessDecision::ThrottledUntil(u) => {
-                    if u >= horizon {
-                        break;
-                    }
-                    t = u;
-                }
-            }
-        }
-        assert!(granted >= p.guaranteed_bytes(0, 5), "granted {granted}");
-        assert_eq!(granted, 5 * 256);
-    }
-
-    #[test]
-    fn perbank_feasibility_check() {
-        let p = PerBankMemGuard::new(SimDuration::from_us(1000.0), vec![500_000, 400_000]);
-        assert!(p.is_feasible(1.0e9));
-        assert!(!p.is_feasible(0.5e9));
-    }
-
-    #[test]
-    fn perbank_publish_metrics_exports_per_bank_state() {
-        let mut p = pb(vec![128, 0]);
-        let _ = p.try_access(0, 128, SimTime::ZERO);
-        let _ = p.try_access(0, 1, SimTime::from_ns(100.0)); // throttled
-        let _ = p.try_access(1, 1, SimTime::from_ns(200.0)); // zero budget
-        let mut reg = MetricsRegistry::new();
-        p.publish_metrics(&mut reg);
-        assert_eq!(reg.counter("perbank.throttle_events"), 2);
-        assert_eq!(reg.counter("perbank.bank.0.throttle_events"), 1);
-        assert_eq!(reg.counter("perbank.bank.1.throttle_events"), 1);
-        assert_eq!(reg.counter("perbank.bank.0.bytes_served"), 128);
-        assert_eq!(reg.gauge("perbank.bank.0.budget_bytes"), Some(128.0));
-        assert_eq!(reg.gauge("perbank.bank.1.budget_bytes"), Some(0.0));
-        let wait = reg.histogram("perbank.throttle_wait_ns").expect("stalls");
-        assert_eq!(wait.count(), 2);
-        autoplat_sim::metrics::validate_csv_export(&reg.to_csv()).expect("schema");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn perbank_zero_period_rejected() {
-        let _ = PerBankMemGuard::new(SimDuration::ZERO, vec![1]);
     }
 }

@@ -6,18 +6,19 @@
 //! boundaries even when no access happens to poke it — e.g. so a
 //! co-simulated core's deferred retry sees replenished budgets the instant
 //! its stall ends. [`MemGuardProcess`] runs the boundary roll as a
-//! periodic timer event on [`autoplat_sim::Engine`]; both paths are
-//! idempotent per period, so they compose.
+//! periodic timer event on [`autoplat_sim::Engine`], whether the budgets
+//! are keyed by core or by bank; both paths are idempotent per period, so
+//! they compose.
 
 use autoplat_sim::engine::{EventSink, Process};
 use autoplat_sim::{SimDuration, SimTime};
 
-use crate::memguard::{MemGuard, PerBankMemGuard};
+use crate::memguard::MemGuard;
 
 /// Events driving the regulator on the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegulationEvent {
-    /// A regulation-period boundary: replenish every core's budget.
+    /// A regulation-period boundary: replenish every budget.
     Replenish,
 }
 
@@ -83,69 +84,6 @@ impl Process for MemGuardProcess {
     }
 }
 
-/// [`PerBankMemGuard`] driven by periodic replenishment events, the exact
-/// per-bank analogue of [`MemGuardProcess`]: schedule the first event at
-/// [`PerBankProcess::first_boundary`], the process re-arms itself every
-/// period until `horizon`. Eager and lazy rolls stay idempotent per
-/// period, so mixing event-driven replenishment with synchronous
-/// [`PerBankMemGuard::try_access`] calls is safe.
-#[derive(Debug, Clone)]
-pub struct PerBankProcess {
-    pb: PerBankMemGuard,
-    horizon: SimTime,
-    replenishments: u64,
-}
-
-impl PerBankProcess {
-    /// Wraps `pb`, replenishing at every period boundary up to `horizon`.
-    pub fn new(pb: PerBankMemGuard, horizon: SimTime) -> Self {
-        PerBankProcess {
-            pb,
-            horizon,
-            replenishments: 0,
-        }
-    }
-
-    /// The first period boundary, where the initial event belongs.
-    pub fn first_boundary(&self) -> SimTime {
-        SimTime::ZERO + self.pb.period()
-    }
-
-    /// The wrapped regulator.
-    pub fn regulator(&self) -> &PerBankMemGuard {
-        &self.pb
-    }
-
-    /// The wrapped regulator, mutably (for accesses and budget updates).
-    pub fn regulator_mut(&mut self) -> &mut PerBankMemGuard {
-        &mut self.pb
-    }
-
-    /// Number of boundary replenishments executed so far.
-    pub fn replenishments(&self) -> u64 {
-        self.replenishments
-    }
-
-    /// Unwraps the regulator.
-    pub fn into_inner(self) -> PerBankMemGuard {
-        self.pb
-    }
-}
-
-impl Process for PerBankProcess {
-    type Event = RegulationEvent;
-
-    fn handle(&mut self, _event: RegulationEvent, sink: &mut dyn EventSink<RegulationEvent>) {
-        let now = sink.now();
-        self.pb.replenish(now);
-        self.replenishments += 1;
-        let next = now + self.pb.period();
-        if next <= self.horizon {
-            sink.schedule_at(next, RegulationEvent::Replenish);
-        }
-    }
-}
-
 /// One period as a `SimDuration` multiple helper for schedulers that need
 /// the boundary after an arbitrary instant.
 pub fn boundary_after(period: SimDuration, now: SimTime) -> SimTime {
@@ -177,30 +115,9 @@ mod tests {
         // no access forcing a lazy roll.
         assert_eq!(p.replenishments(), 3);
         assert_eq!(p.memguard().used(0), 0);
+        assert_eq!(p.memguard().granted_total(0), 128, "rolls keep totals");
         assert_eq!(engine.now(), SimTime::from_us(3.0));
         assert_eq!(engine.pending(), 0, "stops re-arming past the horizon");
-    }
-
-    #[test]
-    fn perbank_replenishment_timer_resets_usage_without_accesses() {
-        let mut pb = PerBankMemGuard::new(SimDuration::from_us(1.0), vec![128, 64]);
-        assert!(matches!(
-            pb.try_access(0, 128, SimTime::ZERO),
-            crate::AccessDecision::Granted
-        ));
-        assert_eq!(pb.used(0), 128);
-
-        let horizon = SimTime::from_us(3.5);
-        let mut p = PerBankProcess::new(pb, horizon);
-        let mut engine = Engine::new();
-        engine.schedule_at(p.first_boundary(), RegulationEvent::Replenish);
-        engine.run_until(&mut p, horizon);
-
-        assert_eq!(p.replenishments(), 3);
-        assert_eq!(p.regulator().used(0), 0);
-        assert_eq!(engine.pending(), 0, "stops re-arming past the horizon");
-        // Lifetime totals are untouched by rolls.
-        assert_eq!(p.into_inner().granted_total(0), 128);
     }
 
     #[test]

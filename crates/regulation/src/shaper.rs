@@ -2,8 +2,9 @@
 //!
 //! Wraps the network-calculus bucket state in simulator time units: the
 //! enforceable regulation primitive of §IV-A ("all it takes is a buffer
-//! and a timer"), used at NoC entrances and in front of the DRAM
-//! controller.
+//! and a timer"), meant for NoC entrances and the front of the DRAM
+//! controller. No simulator composes it yet: only its unit and property
+//! tests drive it.
 //!
 //! [`SimTime`]: autoplat_sim::SimTime
 

@@ -10,7 +10,7 @@
 //!   tie-breaking;
 //! * [`Engine`] — a minimal run loop driving components that implement
 //!   [`Process`];
-//! * [`stats`] — streaming statistics (Welford mean/variance, histograms)
+//! * [`stats`] — streaming statistics (Welford mean/variance)
 //!   used to report simulated latencies and bandwidths;
 //! * [`rng`] — seeded, reproducible random number plumbing.
 //!
@@ -46,6 +46,6 @@ pub use fault::{
 pub use json::JsonValue;
 pub use metrics::{HistogramSketch, MetricsRegistry, Span};
 pub use rng::SimRng;
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};

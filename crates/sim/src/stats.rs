@@ -1,8 +1,8 @@
 //! Streaming statistics for simulated measurements.
 //!
 //! [`Summary`] accumulates count/mean/variance/min/max using Welford's
-//! online algorithm; [`Histogram`] buckets samples with fixed-width bins.
-//! Both are used by the simulators to report latency and bandwidth figures.
+//! online algorithm; the simulators use it to report latency and bandwidth
+//! figures. Distributions go through [`crate::metrics::HistogramSketch`].
 
 use std::fmt;
 
@@ -152,110 +152,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A fixed-bin-width histogram over `[0, bin_width * bins)` with an
-/// overflow bucket.
-///
-/// # Examples
-///
-/// ```
-/// use autoplat_sim::Histogram;
-///
-/// let mut h = Histogram::new(10.0, 5);
-/// h.record(3.0);   // bin 0
-/// h.record(47.0);  // bin 4
-/// h.record(999.0); // overflow
-/// assert_eq!(h.bin_count(0), 1);
-/// assert_eq!(h.bin_count(4), 1);
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Histogram {
-    bin_width: f64,
-    bins: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` buckets of width `bin_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width` is not strictly positive or `bins` is zero.
-    pub fn new(bin_width: f64, bins: usize) -> Self {
-        assert!(bin_width > 0.0, "bin width must be positive");
-        assert!(bins > 0, "need at least one bin");
-        Histogram {
-            bin_width,
-            bins: vec![0; bins],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one sample. Negative samples land in bin 0.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        let idx = if x < 0.0 {
-            0
-        } else {
-            (x / self.bin_width) as usize
-        };
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Count of samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of buckets (excluding overflow).
-    pub fn bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// The value below which `q` (0..=1) of the samples fall, estimated from
-    /// bucket boundaries. Returns `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i as f64 + 1.0) * self.bin_width);
-            }
-        }
-        Some(self.bins.len() as f64 * self.bin_width)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,36 +279,5 @@ mod tests {
         );
         assert_eq!(ab_c.count(), a_bc.count());
         assert!((ab_c.mean() - a_bc.mean()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(1.0, 3);
-        for x in [0.5, 1.5, 2.5, 3.5, -1.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bin_count(0), 2); // 0.5 and clamped -1.0
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(2), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.bins(), 3);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.quantile(0.5), Some(50.0));
-        assert_eq!(h.quantile(1.0), Some(100.0));
-        assert_eq!(Histogram::new(1.0, 1).quantile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width must be positive")]
-    fn histogram_rejects_zero_width() {
-        let _ = Histogram::new(0.0, 4);
     }
 }
