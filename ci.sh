@@ -17,18 +17,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 echo "== cargo test (all targets) =="
 cargo test -q --all-targets
 
-echo "== cargo test --release (event queue, scheduler, cache, admission, NoC, co-sim, regulator, oracles) =="
+echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, NoC, co-sim, regulator, oracles) =="
 # Release builds turn overflow checks and debug_asserts off; the calendar
-# queue's slot arithmetic, the scheduler's time accounting, the cache's
-# per-flow state, the admission RMs' cycle arithmetic and watchdog heap,
-# and the NoC's ring index wrap and bitset arithmetic must hold without
-# them too. The co-sim's allocations-per-packet bound runs here as well.
+# queue's slot arithmetic, the scheduler's time accounting and queue
+# bitset, the cache's flat sets and per-flow state, the admission RMs'
+# cycle arithmetic and watchdog heap, and the NoC's ring index wrap and
+# bitset arithmetic must hold without them too. The co-sim's
+# allocations-per-packet bound and the platform's per-access bound and
+# golden reports run here as well. The DRAM crate runs here because its
+# streaming channel (with costs cached at construction) serves the paper
+# pass and every co-sim, and its FR-FCFS controller the WCD sweeps.
 # The regulator and the conformance oracles run here too: per-bank
 # regulation otherwise runs in release only in the full campaign grid,
 # and the sweep's shard merge must match the serial sweep without its
 # family-order debug_assert.
 cargo test --release -q -p autoplat-sim -p autoplat-sched -p autoplat-cache \
-    -p autoplat-admission -p autoplat-noc -p autoplat-core \
+    -p autoplat-dram -p autoplat-admission -p autoplat-noc -p autoplat-core \
     -p autoplat-regulation -p autoplat-conformance
 
 echo "== metrics export smoke (bench binary + schema gate) =="

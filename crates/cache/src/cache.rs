@@ -1,4 +1,10 @@
 //! The partition-aware set-associative cache model.
+//!
+//! [`SetAssocCache`] keeps its lines flat — one tag and one owner per way,
+//! `sets × ways` of each, plus a valid-way mask per set — and decodes set
+//! and tag with shifts and masks, so an access costs a tag compare over
+//! one set, a few mask operations and one replacement-policy update, and
+//! construction makes the same few allocations for any number of sets.
 
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Lru, RandomReplacement, ReplacementPolicy, TreePlru};
@@ -117,10 +123,47 @@ impl FlowStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    owner: FlowId,
+/// The replacement policy in use, dispatched without a vtable.
+#[derive(Debug)]
+enum Policy {
+    Lru(Lru),
+    TreePlru(TreePlru),
+    Random(RandomReplacement),
+}
+
+impl Policy {
+    fn new(g: CacheGeometry, replacement: Replacement) -> Self {
+        match replacement {
+            Replacement::Lru => Policy::Lru(Lru::new(g.sets(), g.ways())),
+            Replacement::TreePlru => Policy::TreePlru(TreePlru::new(g.sets(), g.ways())),
+            Replacement::Random(seed) => Policy::Random(RandomReplacement::new(seed)),
+        }
+    }
+
+    fn touch(&mut self, set: u32, way: u32) {
+        match self {
+            Policy::Lru(p) => p.touch(set, way),
+            Policy::TreePlru(p) => p.touch(set, way),
+            Policy::Random(p) => p.touch(set, way),
+        }
+    }
+
+    fn victim(&mut self, set: u32, candidate_mask: u64) -> u32 {
+        match self {
+            Policy::Lru(p) => p.victim(set, candidate_mask),
+            Policy::TreePlru(p) => p.victim(set, candidate_mask),
+            Policy::Random(p) => p.victim(set, candidate_mask),
+        }
+    }
+}
+
+/// The mask of the ways whose entry in `entries` (one set's tags or
+/// owners) equals `value`.
+fn ways_equal<T: Copy + PartialEq>(entries: &[T], value: T) -> u64 {
+    entries
+        .iter()
+        .enumerate()
+        .fold(0, |m, (w, &e)| m | u64::from(e == value) << w)
 }
 
 /// Everything the cache keeps about one flow. An entry exists once the
@@ -141,6 +184,14 @@ struct FlowState {
 /// is exactly the DSU/MPAM semantics). On a miss the victim is chosen only
 /// among the ways enabled in the flow's allocation mask.
 ///
+/// Lines are stored flat: the tags and owners of set `s` are entries
+/// `s × ways ..` of two vectors, and one `u64` per set marks its valid
+/// ways. A lookup compares the set's tags into a way mask and ANDs it
+/// with the valid mask; since only a miss fills, at most one valid way
+/// holds a tag. An empty allowed way is the lowest bit of
+/// `mask & !valid`. Sets and tags are decoded by shifts and masks
+/// ([`CacheGeometry::set_index`], [`CacheGeometry::tag`]).
+///
 /// Per-flow state (mask, line cap, statistics) lives in one small vector
 /// searched linearly: callers label a handful of flows (one per core,
 /// task or scheme ID), so a scan beats hashing, and an access looks up
@@ -158,8 +209,13 @@ struct FlowState {
 #[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Vec<Option<Line>>>,
-    policy: Box<dyn ReplacementPolicy + Send>,
+    /// Per set, `ways` line tags (meaningful where the way is valid).
+    tags: Vec<u64>,
+    /// Per set, `ways` line owners (meaningful where the way is valid).
+    owners: Vec<FlowId>,
+    /// Per set, the mask of ways holding a line.
+    valid: Vec<u64>,
+    policy: Policy,
     flows: Vec<FlowState>,
 }
 
@@ -167,17 +223,13 @@ impl SetAssocCache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
         let g = config.geometry;
-        let policy: Box<dyn ReplacementPolicy + Send> = match config.replacement {
-            Replacement::Lru => Box::new(Lru::new(g.sets(), g.ways())),
-            Replacement::TreePlru => Box::new(TreePlru::new(g.sets(), g.ways())),
-            Replacement::Random(seed) => Box::new(RandomReplacement::new(seed)),
-        };
+        let lines = g.sets() as usize * g.ways() as usize;
         SetAssocCache {
             config,
-            lines: (0..g.sets())
-                .map(|_| vec![None; g.ways() as usize])
-                .collect(),
-            policy,
+            tags: vec![0; lines],
+            owners: vec![FlowId(0); lines],
+            valid: vec![0; g.sets() as usize],
+            policy: Policy::new(g, config.replacement),
             flows: Vec::new(),
         }
     }
@@ -257,14 +309,16 @@ impl SetAssocCache {
         let mask = state.mask.unwrap_or_else(|| g.full_mask());
         let cap = state.max_lines.unwrap_or(u64::MAX);
         let stats = state.stats.get_or_insert_default();
-        let set_lines = &mut self.lines[set as usize];
+        let ways = g.ways() as usize;
+        let base = set as usize * ways;
+        let tags = &mut self.tags[base..base + ways];
+        let owners = &mut self.owners[base..base + ways];
+        let valid = &mut self.valid[set as usize];
 
         // Lookup across all ways.
-        if let Some(way) = set_lines
-            .iter()
-            .position(|l| l.map(|l| l.tag == tag) == Some(true))
-        {
-            self.policy.touch(set, way as u32);
+        let hit = ways_equal(tags, tag) & *valid;
+        if hit != 0 {
+            self.policy.touch(set, hit.trailing_zeros());
             stats.hits += 1;
             return AccessOutcome::Hit;
         }
@@ -278,47 +332,45 @@ impl SetAssocCache {
         // replace its own lines (keeping its occupancy constant); with no
         // own line in this set, the fill is suppressed entirely.
         if stats.occupancy >= cap {
-            let own_mask = (0..g.ways()).fold(0u64, |m, w| match set_lines[w as usize] {
-                Some(l) if l.owner == flow && mask & (1 << w) != 0 => m | (1 << w),
-                _ => m,
-            });
+            let own_mask = ways_equal(owners, flow) & *valid & mask;
             if own_mask == 0 {
                 return AccessOutcome::Bypass;
             }
             let way = self.policy.victim(set, own_mask);
-            set_lines[way as usize] = Some(Line { tag, owner: flow });
+            tags[way as usize] = tag;
             self.policy.touch(set, way);
             return AccessOutcome::MissEvicted { victim_owner: flow };
         }
 
         // Prefer an empty allowed way.
-        if let Some(way) =
-            (0..g.ways()).find(|&w| mask & (1 << w) != 0 && set_lines[w as usize].is_none())
-        {
-            set_lines[way as usize] = Some(Line { tag, owner: flow });
+        let empty = mask & !*valid;
+        if empty != 0 {
+            let way = empty.trailing_zeros();
+            tags[way as usize] = tag;
+            owners[way as usize] = flow;
+            *valid |= 1 << way;
             self.policy.touch(set, way);
             stats.occupancy += 1;
             return AccessOutcome::MissFilled;
         }
 
-        // Evict among allowed ways.
+        // Evict among allowed ways (all of them hold lines).
         let way = self.policy.victim(set, mask);
-        let victim = set_lines[way as usize].expect("allowed ways are all full");
-        set_lines[way as usize] = Some(Line { tag, owner: flow });
+        let victim_owner = owners[way as usize];
+        tags[way as usize] = tag;
+        owners[way as usize] = flow;
         self.policy.touch(set, way);
-        if victim.owner == flow {
+        if victim_owner == flow {
             stats.occupancy = stats.occupancy.saturating_sub(1) + 1;
         } else {
             stats.occupancy += 1;
             stats.evictions_caused_to_others += 1;
-            let owner = self.entry(victim.owner);
+            let owner = self.entry(victim_owner);
             let vs = self.flows[owner].stats.get_or_insert_default();
             vs.occupancy = vs.occupancy.saturating_sub(1);
             vs.evictions_suffered += 1;
         }
-        AccessOutcome::MissEvicted {
-            victim_owner: victim.owner,
-        }
+        AccessOutcome::MissEvicted { victim_owner }
     }
 
     /// Statistics of `flow` (zeroed default if never seen).
@@ -342,19 +394,18 @@ impl SetAssocCache {
     /// `stats(flow).occupancy`, recomputed from the array as a
     /// consistency check).
     pub fn occupancy_of(&self, flow: FlowId) -> u64 {
-        self.lines
-            .iter()
-            .flatten()
-            .filter(|l| l.map(|l| l.owner == flow) == Some(true))
-            .count() as u64
+        let ways = self.config.geometry.ways() as usize;
+        self.owners
+            .chunks_exact(ways)
+            .zip(&self.valid)
+            .map(|(owners, &valid)| (ways_equal(owners, flow) & valid).count_ones() as u64)
+            .sum()
     }
 
     /// Invalidates everything and clears statistics; allocation masks and
-    /// line caps stay.
+    /// line caps stay, and so does the replacement policy's state.
     pub fn reset(&mut self) {
-        for set in &mut self.lines {
-            set.fill(None);
-        }
+        self.valid.fill(0);
         for state in &mut self.flows {
             state.stats = None;
         }

@@ -64,14 +64,16 @@ impl CacheGeometry {
         self.sets as u64 * self.ways as u64 * self.line_bytes as u64
     }
 
-    /// The set an address maps to.
+    /// The set an address maps to: the line address's low index bits
+    /// (`sets` and `line_bytes` are powers of two, so shifts and masks
+    /// decode exactly).
     pub fn set_index(&self, addr: u64) -> u32 {
-        ((addr / self.line_bytes as u64) % self.sets as u64) as u32
+        ((addr >> self.line_bytes.trailing_zeros()) & (self.sets as u64 - 1)) as u32
     }
 
     /// The tag of an address (line address above the index bits).
     pub fn tag(&self, addr: u64) -> u64 {
-        addr / self.line_bytes as u64 / self.sets as u64
+        addr >> (self.line_bytes.trailing_zeros() + self.sets.trailing_zeros())
     }
 
     /// The line-aligned base address for a `(tag, set)` pair — inverse of

@@ -2,7 +2,8 @@
 //!
 //! Policies operate *per set* on way indices; the cache asks for a victim
 //! among an allowed subset of ways (the partition's allocation mask
-//! restricted to that set).
+//! restricted to that set). Each policy keeps the state of every set in
+//! one vector allocated at its final size, indexed by set.
 
 use autoplat_sim::SimRng;
 
@@ -24,36 +25,59 @@ pub trait ReplacementPolicy: std::fmt::Debug {
 }
 
 /// True least-recently-used: a recency order per set.
+///
+/// Each set's order is `ways` way indices, least recent first, stored
+/// back to back for all sets. A touch moves the way to the end of its
+/// set's order in place, and the victim is the first way of the order
+/// the candidate mask allows — with every way allowed, the first entry.
 #[derive(Debug, Clone)]
 pub struct Lru {
-    /// Per-set list of ways, most recent last.
-    order: Vec<Vec<u32>>,
+    ways: usize,
+    /// Per-set way indices, least recent first (`ways` entries per set).
+    order: Vec<u8>,
 }
 
 impl Lru {
     /// Creates LRU state for `sets` sets of `ways` ways.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` exceeds 64 (candidate masks are 64-bit).
     pub fn new(sets: u32, ways: u32) -> Self {
-        Lru {
-            order: (0..sets).map(|_| (0..ways).collect()).collect(),
+        assert!(ways <= 64, "ways must be at most 64, got {ways}");
+        let ways = ways as usize;
+        let mut order = Vec::with_capacity(sets as usize * ways);
+        for _ in 0..sets {
+            order.extend(0..ways as u8);
         }
+        Lru { ways, order }
+    }
+
+    fn set_order(&mut self, set: u32) -> &mut [u8] {
+        let base = set as usize * self.ways;
+        &mut self.order[base..base + self.ways]
     }
 }
 
 impl ReplacementPolicy for Lru {
     fn touch(&mut self, set: u32, way: u32) {
-        let order = &mut self.order[set as usize];
-        if let Some(pos) = order.iter().position(|&w| w == way) {
-            order.remove(pos);
-        }
-        order.push(way);
+        let order = self.set_order(set);
+        let pos = order
+            .iter()
+            .position(|&w| u32::from(w) == way)
+            .expect("touched way is in the set");
+        order.copy_within(pos + 1.., pos);
+        order[order.len() - 1] = way as u8;
     }
 
     fn victim(&mut self, set: u32, candidate_mask: u64) -> u32 {
-        let order = &self.order[set as usize];
-        *order
-            .iter()
-            .find(|&&w| candidate_mask & (1 << w) != 0)
-            .expect("candidate mask selects no way")
+        let order = self.set_order(set);
+        u32::from(
+            *order
+                .iter()
+                .find(|&&w| candidate_mask & (1 << w) != 0)
+                .expect("candidate mask selects no way"),
+        )
     }
 }
 
@@ -63,10 +87,12 @@ impl ReplacementPolicy for Lru {
 /// bits, restricted to subtrees containing at least one candidate way.
 #[derive(Debug, Clone)]
 pub struct TreePlru {
-    ways: u32,
-    /// Per-set tree bits, 1-indexed heap layout (`ways - 1` internal nodes,
-    /// rounded up to the next power of two tree).
-    bits: Vec<Vec<bool>>,
+    /// The real ways as a mask: tree leaves beyond them are never victims.
+    ways_mask: u64,
+    /// Per-set tree bits, one word per set: bit `n` is internal node `n`
+    /// of a 1-indexed heap over `leaves` leaves (the ways rounded up to a
+    /// power of two); set ⇒ the victim search goes right.
+    bits: Vec<u64>,
     leaves: u32,
 }
 
@@ -75,25 +101,15 @@ impl TreePlru {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero.
+    /// Panics if `ways` is zero or exceeds 64.
     pub fn new(sets: u32, ways: u32) -> Self {
         assert!(ways > 0, "ways must be non-zero");
-        let leaves = ways.next_power_of_two();
+        assert!(ways <= 64, "ways must be at most 64, got {ways}");
         TreePlru {
-            ways,
-            bits: (0..sets).map(|_| vec![false; leaves as usize]).collect(),
-            leaves,
+            ways_mask: u64::MAX >> (64 - ways),
+            bits: vec![0; sets as usize],
+            leaves: ways.next_power_of_two(),
         }
-    }
-
-    fn subtree_has_candidate(&self, node: u32, candidate_mask: u64) -> bool {
-        // Node indices: 1..leaves internal, leaves..2*leaves leaves.
-        if node >= self.leaves {
-            let way = node - self.leaves;
-            return way < self.ways && candidate_mask & (1 << way) != 0;
-        }
-        self.subtree_has_candidate(node * 2, candidate_mask)
-            || self.subtree_has_candidate(node * 2 + 1, candidate_mask)
     }
 }
 
@@ -103,35 +119,39 @@ impl ReplacementPolicy for TreePlru {
         let mut node = self.leaves + way;
         while node > 1 {
             let parent = node / 2;
-            // Point away from the touched child.
-            bits[parent as usize] = node.is_multiple_of(2); // touched left ⇒ point right(true)
+            // Point away from the touched child: touched left ⇒ go right.
+            if node.is_multiple_of(2) {
+                *bits |= 1 << parent;
+            } else {
+                *bits &= !(1 << parent);
+            }
             node = parent;
         }
     }
 
     fn victim(&mut self, set: u32, candidate_mask: u64) -> u32 {
-        assert!(
-            self.subtree_has_candidate(1, candidate_mask),
-            "candidate mask selects no way"
-        );
-        let bits = &self.bits[set as usize];
-        let mut node = 1u32;
+        let candidates = candidate_mask & self.ways_mask;
+        assert!(candidates != 0, "candidate mask selects no way");
+        let bits = self.bits[set as usize];
+        // Walk down from the root; the current node covers the leaves
+        // `first .. first + span`, and always holds a candidate.
+        let (mut node, mut first, mut span) = (1u32, 0u32, self.leaves);
         while node < self.leaves {
-            let preferred = if bits[node as usize] {
-                node * 2 + 1
+            span /= 2;
+            let half = (1u64 << span) - 1;
+            let left_has = (candidates >> first) & half != 0;
+            let right_has = (candidates >> (first + span)) & half != 0;
+            // Follow the bit unless that subtree holds no candidate.
+            let go_right = if bits & (1 << node) != 0 {
+                right_has
             } else {
-                node * 2
+                !left_has
             };
-            let other = if bits[node as usize] {
-                node * 2
-            } else {
-                node * 2 + 1
-            };
-            node = if self.subtree_has_candidate(preferred, candidate_mask) {
-                preferred
-            } else {
-                other
-            };
+            node *= 2;
+            if go_right {
+                node += 1;
+                first += span;
+            }
         }
         node - self.leaves
     }
@@ -155,12 +175,17 @@ impl RandomReplacement {
 impl ReplacementPolicy for RandomReplacement {
     fn touch(&mut self, _set: u32, _way: u32) {}
 
+    /// Draws one of the candidate ways uniformly: the `k`-th set bit of
+    /// the mask for a uniform `k`, the same draw `SimRng::choose` makes
+    /// over the candidate list.
     fn victim(&mut self, _set: u32, candidate_mask: u64) -> u32 {
-        let candidates: Vec<u32> = (0..64).filter(|w| candidate_mask & (1 << w) != 0).collect();
-        *self
-            .rng
-            .choose(&candidates)
-            .expect("candidate mask selects no way")
+        let candidates = candidate_mask.count_ones();
+        assert!(candidates != 0, "candidate mask selects no way");
+        let mut rest = candidate_mask;
+        for _ in 0..self.rng.gen_range(0..candidates) {
+            rest &= rest - 1;
+        }
+        rest.trailing_zeros()
     }
 }
 

@@ -9,6 +9,12 @@
 //! MemGuard trade-off — while the detailed per-component models
 //! ([`autoplat_dram::FrFcfsController`], [`autoplat_noc::NocSim`]) remain
 //! available for component-level studies.
+//!
+//! [`Platform::run`] steps the earliest-ready core, ties broken by core
+//! index, and streams each core's accesses from its workload's
+//! generator: a core holds one pending access, and a throttled one stays
+//! pending until its retry, so a run's memory does not grow with its
+//! access counts.
 
 use autoplat_cache::{CacheConfig, FlowId, SetAssocCache};
 use autoplat_dram::timing::presets::ddr3_1600;
@@ -16,7 +22,7 @@ use autoplat_dram::{DramChannel, DramTiming};
 use autoplat_regulation::memguard::{AccessDecision, MemGuard};
 use autoplat_sim::{SimDuration, SimTime, Summary};
 
-use crate::workload::{AccessKind, Workload};
+use crate::workload::{Access, AccessKind, AccessStream, Workload};
 
 pub use crate::cosim::{
     CoSim, CoSimConfig, CoSimEvent, CoSimReport, CoSimTask, ControlCommand, QosConfig,
@@ -305,9 +311,11 @@ impl Platform {
             self.config.row_bytes,
         );
 
-        struct CoreState {
-            accesses: Vec<crate::workload::Access>,
-            next_idx: usize,
+        struct CoreState<'a> {
+            stream: AccessStream<'a>,
+            /// The next access to issue; `None` once the stream is done.
+            /// A throttled access stays here until its retry.
+            pending: Option<Access>,
             ready_at: SimTime,
             gap: SimDuration,
             report: CoreReport,
@@ -315,11 +323,12 @@ impl Platform {
         let mut states: Vec<(usize, CoreState)> = workloads
             .iter()
             .map(|w| {
+                let mut stream = w.access_stream();
                 (
                     w.core,
                     CoreState {
-                        accesses: w.accesses(),
-                        next_idx: 0,
+                        pending: stream.next(),
+                        stream,
                         ready_at: SimTime::ZERO,
                         gap: SimDuration::from_ns(w.gap_ns),
                         report: CoreReport::default(),
@@ -336,14 +345,13 @@ impl Platform {
             let next = states
                 .iter()
                 .enumerate()
-                .filter(|(_, (_, s))| s.next_idx < s.accesses.len())
+                .filter(|(_, (_, s))| s.pending.is_some())
                 .min_by_key(|(_, (core, s))| (s.ready_at, *core))
                 .map(|(i, _)| i);
             let Some(i) = next else { break };
             let (core, state) = &mut states[i];
             let core = *core;
-            let access = state.accesses[state.next_idx];
-            state.next_idx += 1;
+            let access = state.pending.expect("picked cores have an access");
             let now = state.ready_at;
 
             // MemGuard regulation. A throttled access is deferred to the
@@ -354,12 +362,12 @@ impl Platform {
                     AccessDecision::Granted => {}
                     AccessDecision::ThrottledUntil(t_ok) => {
                         state.report.throttled += t_ok - now;
-                        state.next_idx -= 1;
                         state.ready_at = t_ok;
                         continue;
                     }
                 }
             }
+            state.pending = state.stream.next();
 
             state.report.accesses += 1;
             // Cluster-shared L2 first, when configured.

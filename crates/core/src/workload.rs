@@ -5,6 +5,11 @@
 //! the paper reasons about: small-working-set latency-critical readers
 //! (control loops), streaming bandwidth hogs (vision/logging pipelines),
 //! and mixed traffic.
+//!
+//! A workload's accesses come from one generator, which carries the
+//! access index, the pattern's RNG and the write credit:
+//! [`Platform::run`](crate::platform::Platform::run) draws from it one
+//! access at a time, and [`Workload::accesses`] collects it.
 
 use autoplat_sim::SimRng;
 
@@ -148,36 +153,76 @@ impl Workload {
         self
     }
 
+    /// The access stream, generated lazily in program order.
+    pub(crate) fn access_stream(&self) -> AccessStream<'_> {
+        AccessStream {
+            workload: self,
+            index: 0,
+            rng: match &self.pattern {
+                Pattern::Random { seed, .. } => Some(SimRng::seed_from(*seed)),
+                Pattern::WorkingSet { .. } => None,
+            },
+            write_credit: 0.0,
+        }
+    }
+
     /// Materializes the access stream.
     pub fn accesses(&self) -> Vec<Access> {
-        let mut rng = match &self.pattern {
-            Pattern::Random { seed, .. } => Some(SimRng::seed_from(*seed)),
-            _ => None,
+        self.access_stream().collect()
+    }
+}
+
+/// The accesses of a [`Workload`], in program order.
+#[derive(Debug)]
+pub(crate) struct AccessStream<'a> {
+    workload: &'a Workload,
+    /// Index of the next access.
+    index: usize,
+    /// The random pattern's generator.
+    rng: Option<SimRng>,
+    /// Accumulated write fraction: a write is due once it reaches 1.
+    write_credit: f64,
+}
+
+impl Iterator for AccessStream<'_> {
+    type Item = Access;
+
+    fn next(&mut self) -> Option<Access> {
+        let w = self.workload;
+        if self.index == w.count {
+            return None;
+        }
+        let i = self.index;
+        self.index += 1;
+        let addr = match &w.pattern {
+            Pattern::WorkingSet { base, span, stride } => {
+                base + (i as u64 * stride) % (*span).max(1)
+            }
+            Pattern::Random { base, span, .. } => {
+                let lines = (span / 64).max(1);
+                let line = self
+                    .rng
+                    .as_mut()
+                    .expect("random pattern")
+                    .gen_range(0..lines);
+                base + line * 64
+            }
         };
         // Deterministic write interleaving by accumulated fraction.
-        let mut write_credit = 0.0;
-        (0..self.count)
-            .map(|i| {
-                let addr = match &self.pattern {
-                    Pattern::WorkingSet { base, span, stride } => {
-                        base + (i as u64 * stride) % (*span).max(1)
-                    }
-                    Pattern::Random { base, span, .. } => {
-                        let lines = (span / 64).max(1);
-                        let line = rng.as_mut().expect("random pattern").gen_range(0..lines);
-                        base + line * 64
-                    }
-                };
-                write_credit += self.write_fraction;
-                let kind = if write_credit >= 1.0 {
-                    write_credit -= 1.0;
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                Access { addr, kind }
-            })
-            .collect()
+        self.write_credit += w.write_fraction;
+        let kind = if self.write_credit >= 1.0 {
+            self.write_credit -= 1.0;
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        Some(Access { addr, kind })
+    }
+
+    /// Exact, so [`Workload::accesses`] allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.workload.count - self.index;
+        (left, Some(left))
     }
 }
 

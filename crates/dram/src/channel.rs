@@ -28,9 +28,21 @@ pub struct ChannelAccess {
 
 /// Single-channel DRAM with per-bank row buffers and periodic refresh,
 /// serviced in arrival order with instantaneous timing math.
+///
+/// The four costs [`service`](Self::service) charges are converted from
+/// the timing's nanoseconds once, at construction; the timing cannot
+/// change afterwards, so they never go stale.
 #[derive(Debug, Clone)]
 pub struct DramChannel {
     timing: DramTiming,
+    /// Refresh duration (`tRFC`).
+    refresh: SimDuration,
+    /// Refresh interval (`tREFI`).
+    refresh_interval: SimDuration,
+    /// A row hit: one burst.
+    row_hit_cost: SimDuration,
+    /// A row miss: precharge, activate, CAS and burst.
+    row_miss_cost: SimDuration,
     row_bytes: u64,
     free_at: SimTime,
     next_refresh: SimTime,
@@ -50,12 +62,18 @@ impl DramChannel {
         assert!(banks > 0, "need at least one bank");
         assert!(row_bytes > 0, "rows need bytes");
         timing.validate().expect("valid DRAM timing");
-        let next_refresh = SimTime::ZERO + SimDuration::from_ns(timing.t_refi);
+        let refresh_interval = SimDuration::from_ns(timing.t_refi);
         DramChannel {
+            refresh: SimDuration::from_ns(timing.t_rfc),
+            refresh_interval,
+            row_hit_cost: SimDuration::from_ns(timing.t_burst),
+            row_miss_cost: SimDuration::from_ns(
+                timing.t_rp + timing.t_rcd + timing.t_cl + timing.t_burst,
+            ),
             timing,
             row_bytes,
             free_at: SimTime::ZERO,
-            next_refresh,
+            next_refresh: SimTime::ZERO + refresh_interval,
             banks: vec![None; banks],
             busy: SimDuration::ZERO,
             refreshes: 0,
@@ -79,13 +97,12 @@ impl DramChannel {
     /// serially to this access. A row miss pays the full
     /// precharge–activate–CAS–burst pipeline and leaves the row open.
     pub fn service(&mut self, addr: u64, arrive: SimTime) -> ChannelAccess {
-        let t = &self.timing;
         let mut begin = arrive.max(self.free_at);
         while self.next_refresh <= begin {
             let start = self.next_refresh.max(self.free_at);
-            self.free_at = start + SimDuration::from_ns(t.t_rfc);
-            self.busy += SimDuration::from_ns(t.t_rfc);
-            self.next_refresh += SimDuration::from_ns(t.t_refi);
+            self.free_at = start + self.refresh;
+            self.busy += self.refresh;
+            self.next_refresh += self.refresh_interval;
             self.refreshes += 1;
             for b in &mut self.banks {
                 *b = None;
@@ -96,10 +113,10 @@ impl DramChannel {
         let row = self.row_of(addr);
         let row_hit = self.banks[bank] == Some(row);
         let cost = if row_hit {
-            SimDuration::from_ns(t.t_burst)
+            self.row_hit_cost
         } else {
             self.banks[bank] = Some(row);
-            SimDuration::from_ns(t.t_rp + t.t_rcd + t.t_cl + t.t_burst)
+            self.row_miss_cost
         };
         self.free_at = begin + cost;
         self.busy += cost;

@@ -172,15 +172,6 @@ impl MemGuard {
         self.used[core]
     }
 
-    /// Number of throttle decisions issued to `core` so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn throttle_events(&self, core: usize) -> u64 {
-        self.throttle_events[core]
-    }
-
     /// Lifetime bytes granted to `core` across all periods.
     ///
     /// # Panics
@@ -188,12 +179,6 @@ impl MemGuard {
     /// Panics if `core` is out of range.
     pub fn granted_total(&self, core: usize) -> u64 {
         self.granted_total[core]
-    }
-
-    /// Distribution of throttle wait times so far (ns per throttled
-    /// access).
-    pub fn throttle_wait(&self) -> &HistogramSketch {
-        &self.throttle_wait
     }
 
     /// Publishes the regulator's observability data into `metrics` under
@@ -246,7 +231,9 @@ mod tests {
             m.try_access(0, 64, SimTime::from_ns(500.0)),
             AccessDecision::ThrottledUntil(boundary)
         );
-        assert_eq!(m.throttle_events(0), 1);
+        let mut reg = MetricsRegistry::new();
+        m.publish_metrics(&mut reg);
+        assert_eq!(reg.counter("memguard.core.0.throttle_events"), 1);
         assert_eq!(m.used(0), 256);
     }
 
@@ -371,8 +358,13 @@ mod tests {
         let _ = m.try_access(0, 64, SimTime::ZERO);
         // Throttled 400 ns into a 1 µs period: 600 ns to the boundary.
         let _ = m.try_access(0, 1, SimTime::from_ns(400.0));
-        assert_eq!(m.throttle_wait().count(), 1);
-        assert!((m.throttle_wait().max().expect("one stall") - 600.0).abs() < 1e-9);
+        let mut reg = MetricsRegistry::new();
+        m.publish_metrics(&mut reg);
+        let wait = reg
+            .histogram("memguard.throttle_wait_ns")
+            .expect("one stall");
+        assert_eq!(wait.count(), 1);
+        assert!((wait.max().expect("one stall") - 600.0).abs() < 1e-9);
     }
 
     #[test]

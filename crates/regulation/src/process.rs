@@ -63,11 +63,6 @@ impl MemGuardProcess {
     pub fn replenishments(&self) -> u64 {
         self.replenishments
     }
-
-    /// Unwraps the regulator.
-    pub fn into_inner(self) -> MemGuard {
-        self.mg
-    }
 }
 
 impl Process for MemGuardProcess {

@@ -17,9 +17,12 @@
 //! task's pending jobs wait in their own release-ordered queue, so the
 //! priority order `(task index, release)` is the concatenation of those
 //! queues and the running set is read off their fronts without a sort;
-//! the running set and its predecessor live in two buffers of capacity
-//! `cores` reused across events; worst responses are kept per task index
-//! and folded into the public per-id map once, at the end.
+//! a bitset marks the non-empty queues, so picking the running set walks
+//! only tasks with pending jobs, in ascending index; a running job is
+//! found by its position in its task's queue; the running set and its
+//! predecessor live in two buffers of capacity `cores` reused across
+//! events; worst responses are kept per task index and folded into the
+//! public per-id map once, at the end.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -135,6 +138,8 @@ struct GlobalFp<'a> {
     /// Per task index, its pending jobs in release order. Concatenated in
     /// task order they are the ready queue in priority order.
     pending: Vec<VecDeque<Job>>,
+    /// Bit `i` of word `i / 64` is set iff `pending[i]` is non-empty.
+    nonempty: Vec<u64>,
     /// Keys `(task_idx, release)` of the jobs chosen to run at the last
     /// event, in priority order: a prefix of the ready queue, so each
     /// task's running jobs are the front of its queue.
@@ -159,6 +164,7 @@ impl<'a> GlobalFp<'a> {
             cores,
             horizon,
             pending: vec![VecDeque::new(); tasks.len()],
+            nonempty: vec![0; tasks.len().div_ceil(64)],
             running: Vec::with_capacity(cores),
             previous: Vec::with_capacity(cores),
             worst: vec![None; tasks.len()],
@@ -176,11 +182,14 @@ impl<'a> GlobalFp<'a> {
         if delta.is_zero() {
             return; // nothing ran, so by the invariant nothing completed
         }
+        // A task's running jobs are the front of its queue, in order, so
+        // each one's queue position counts up from 0 within its task.
+        let (mut previous, mut position) = (usize::MAX, 0);
         for &(i, release) in &self.running {
-            let job = self.pending[i]
-                .iter_mut()
-                .find(|j| j.release == release)
-                .expect("running jobs are pending");
+            position = if i == previous { position + 1 } else { 0 };
+            previous = i;
+            let job = &mut self.pending[i][position];
+            debug_assert_eq!(job.release, release, "running jobs are queue fronts");
             job.remaining = job.remaining.saturating_sub(delta);
             if job.remaining.is_zero() {
                 let response = t - release;
@@ -200,6 +209,9 @@ impl<'a> GlobalFp<'a> {
                 queue.pop_front();
             }
             debug_assert!(queue.iter().all(|j| !j.remaining.is_zero()));
+            if queue.is_empty() {
+                self.nonempty[i / 64] &= !(1 << (i % 64));
+            }
         }
     }
 
@@ -211,13 +223,18 @@ impl<'a> GlobalFp<'a> {
         std::mem::swap(&mut self.running, &mut self.previous);
         self.running.clear();
         let mut min_remaining = SimDuration::MAX;
-        'fill: for (i, queue) in self.pending.iter().enumerate() {
-            for job in queue {
-                if self.running.len() == self.cores {
-                    break 'fill;
+        'fill: for (w, &word) in self.nonempty.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for job in &self.pending[i] {
+                    if self.running.len() == self.cores {
+                        break 'fill;
+                    }
+                    self.running.push((i, job.release));
+                    min_remaining = min_remaining.min(job.remaining);
                 }
-                self.running.push((i, job.release));
-                min_remaining = min_remaining.min(job.remaining);
             }
         }
 
@@ -282,6 +299,7 @@ impl Process for GlobalFp<'_> {
                     deadline: t + task.deadline,
                     remaining: task.wcet,
                 });
+                self.nonempty[i / 64] |= 1 << (i % 64);
                 sink.schedule_at(t + task.period, SchedEvent::Release(i));
                 self.reschedule(t, sink);
             }
