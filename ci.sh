@@ -17,6 +17,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 echo "== cargo test (all targets) =="
 cargo test -q --all-targets
 
+echo "== examples (run to completion) =="
+# cargo test builds the examples but never runs them; running them
+# catches a panic in any of them (e2e_admission asserts that the
+# client-regulated traffic drains).
+for ex in quickstart dram_wcd e2e_admission ee_architectures dynamic_modes; do
+    cargo run -q -p autoplat-core --example "$ex" >/dev/null
+done
+
 echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, NoC, co-sim, regulator, oracles) =="
 # Release builds turn overflow checks and debug_asserts off; the calendar
 # queue's slot arithmetic, the scheduler's time accounting and queue

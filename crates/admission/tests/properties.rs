@@ -1,12 +1,13 @@
 //! Property-based tests for the admission-control layer.
 
 use autoplat_admission::app::{AppId, Application};
-use autoplat_admission::client::RetryPolicy;
+use autoplat_admission::client::{Client, RetryPolicy, TransmitDecision};
 use autoplat_admission::e2e::ResourceChain;
 use autoplat_admission::modes::{RatePolicy, SymmetricPolicy, WeightedPolicy};
 use autoplat_admission::protocol::{ControlMessage, Endpoint, Envelope};
 use autoplat_admission::rm::{ResourceManager, WatchdogConfig};
 use autoplat_admission::simulation::{Scenario, ScenarioEvent};
+use autoplat_netcalc::conformance::first_violation;
 use autoplat_netcalc::{RateLatency, TokenBucket};
 use autoplat_sim::{FaultPlan, SimTime};
 use proptest::prelude::*;
@@ -138,24 +139,28 @@ proptest! {
         }
     }
 
+    /// Every phase installs a fresh contract and sends fractional
+    /// amounts, each clamped to the phase's burst: the released trace
+    /// conforms to the phase's contract despite integer-cycle rounding.
     #[test]
     fn client_traffic_conformant_after_any_reconfig_sequence(
-        rates in proptest::collection::vec(1u32..1000, 1..6),
-        sends_per_phase in 1usize..12,
+        phases in proptest::collection::vec(
+            (1.0f64..32.0, 1u32..1000, proptest::collection::vec(0.1f64..4.0, 1..40)),
+            1..6,
+        ),
     ) {
-        use autoplat_admission::client::{Client, TransmitDecision};
-        use autoplat_netcalc::conformance::first_violation;
         let mut client = Client::new(AppId(0), 0);
         let _ = client.request_transmit(0, 1.0); // trap
         let mut now = 0u64;
-        for &r in &rates {
-            let contract = TokenBucket::new(4.0, r as f64 / 1000.0);
+        for (burst, rate_milli, amounts) in &phases {
+            let contract = TokenBucket::new(*burst, *rate_milli as f64 / 1000.0);
             client.on_config(now, contract);
             let mut trace = Vec::new();
-            for _ in 0..sends_per_phase {
-                match client.request_transmit(now, 1.0) {
+            for &a in amounts {
+                let amount = a.min(*burst);
+                match client.request_transmit(now, amount) {
                     TransmitDecision::ReleaseAt(t) => {
-                        trace.push((t as f64, 1.0));
+                        trace.push((t as f64, amount));
                         now = t;
                     }
                     other => prop_assert!(false, "active client refused: {other:?}"),
@@ -164,6 +169,77 @@ proptest! {
             prop_assert_eq!(first_violation(&contract, &trace), None);
             client.on_stop();
         }
+    }
+
+    /// One contract, fractional amounts clamped to its burst: every
+    /// request is released, none trapped or blocked, and the trace
+    /// conforms.
+    #[test]
+    fn shaped_output_always_conformant(
+        burst in 1.0f64..32.0,
+        rate_milli in 1u32..1000,
+        amounts in proptest::collection::vec(0.1f64..4.0, 1..80),
+    ) {
+        let contract = TokenBucket::new(burst, rate_milli as f64 / 1000.0);
+        let mut client = Client::new(AppId(0), 0);
+        client.on_config(0, contract);
+        let mut now = 0u64;
+        let mut trace = Vec::new();
+        for &a in &amounts {
+            let amount = a.min(burst);
+            now = release(&mut client, now, amount);
+            trace.push((now as f64, amount));
+        }
+        prop_assert_eq!(first_violation(&contract, &trace), None);
+        prop_assert_eq!((client.trapped(), client.blocked()), (0, 0));
+    }
+
+    /// `n` sends under one contract, then `on_config` to another and `n`
+    /// more: the second trace conforms to the new contract, so credit
+    /// earned under the old one never leaks across.
+    #[test]
+    fn shaper_reconfigure_preserves_conformance_to_new_contract(
+        r1 in 1u32..500,
+        r2 in 1u32..500,
+        n in 1usize..30,
+    ) {
+        let c1 = TokenBucket::new(4.0, r1 as f64 / 1000.0);
+        let c2 = TokenBucket::new(4.0, r2 as f64 / 1000.0);
+        let mut client = Client::new(AppId(0), 0);
+        client.on_config(0, c1);
+        let mut now = 0u64;
+        for _ in 0..n {
+            now = release(&mut client, now, 1.0);
+        }
+        client.on_config(now, c2);
+        let mut trace = Vec::new();
+        for _ in 0..n {
+            now = release(&mut client, now, 1.0);
+            trace.push((now as f64, 1.0));
+        }
+        prop_assert_eq!(first_violation(&c2, &trace), None);
+    }
+
+    /// Whole-flit packets (1–3 flits, clamped to the burst) released at
+    /// integer cycles: rounding only ever delays a release, so the
+    /// integer trace conforms to the continuous contract.
+    #[test]
+    fn regulated_source_spacing_respects_rate(
+        burst in 1.0f64..16.0,
+        rate_milli in 1u32..500,
+        sizes in proptest::collection::vec(1u32..4, 1..40),
+    ) {
+        let contract = TokenBucket::new(burst, rate_milli as f64 / 1000.0);
+        let mut client = Client::new(AppId(0), 0);
+        client.on_config(0, contract);
+        let mut now = 0u64;
+        let mut trace = Vec::new();
+        for &flits in &sizes {
+            let flits = f64::from(flits.min(burst as u32).max(1));
+            now = release(&mut client, now, flits);
+            trace.push((now as f64, flits));
+        }
+        prop_assert_eq!(first_violation(&contract, &trace), None);
     }
 
     /// Under an arbitrary storm of (possibly duplicated, reordered,
@@ -218,6 +294,62 @@ proptest! {
             prop_assert!(total <= capacity + 1e-9, "overcommitted: {total}");
         }
     }
+}
+
+/// Releases `amount` through an active client, returning the cycle.
+fn release(client: &mut Client, now: u64, amount: f64) -> u64 {
+    match client.request_transmit(now, amount) {
+        TransmitDecision::ReleaseAt(t) => t,
+        other => panic!("active client refused: {other:?}"),
+    }
+}
+
+/// Regression pinned from `shaper_reconfigure_preserves_conformance_to_new_contract`
+/// seed `cc 4ee39c27…` (shrunk to a
+/// slow rate of 1, a fast rate of 11 per 1000 cycles and 5 sends per
+/// phase): reconfiguring from a very slow contract to a faster one must
+/// not let credit earned under the old contract leak into the new one —
+/// the first releases after the reconfiguration once violated the new
+/// bucket.
+#[test]
+fn regression_reconfigure_slow_to_fast_does_not_leak_credit() {
+    let c1 = TokenBucket::new(4.0, 1.0 / 1000.0);
+    let c2 = TokenBucket::new(4.0, 11.0 / 1000.0);
+    let mut client = Client::new(AppId(0), 0);
+    client.on_config(0, c1);
+    let mut now = 0;
+    for _ in 0..5 {
+        now = release(&mut client, now, 1.0);
+    }
+    client.on_config(now, c2);
+    let mut trace = Vec::new();
+    for _ in 0..5 {
+        now = release(&mut client, now, 1.0);
+        trace.push((now as f64, 1.0));
+    }
+    assert_eq!(first_violation(&c2, &trace), None);
+}
+
+/// Regression pinned from `shaped_output_always_conformant` seed
+/// `cc 97dc8192…` (shrunk to a
+/// burst of 1, a rate of 1 per 1000 cycles and amounts `[0.6047…,
+/// 3.1009…]`): a request larger than the remaining burst (clamped to the
+/// burst size) at the slowest rate once produced a release that broke
+/// bucket conformance by a rounding hair.
+#[test]
+fn regression_minimal_rate_near_burst_release_is_conformant() {
+    let burst = 1.0;
+    let contract = TokenBucket::new(burst, 1.0 / 1000.0);
+    let mut client = Client::new(AppId(0), 0);
+    client.on_config(0, contract);
+    let mut now = 0;
+    let mut trace = Vec::new();
+    for a in [0.6047900955436639f64, 3.1009981262409743] {
+        let amount = a.min(burst);
+        now = release(&mut client, now, amount);
+        trace.push((now as f64, amount));
+    }
+    assert_eq!(first_violation(&contract, &trace), None);
 }
 
 proptest! {

@@ -3,8 +3,7 @@
 //! This is the top-level crate of the reproduction of *"The Road towards
 //! Predictable Automotive High-Performance Platforms"* (DATE 2021). It
 //! composes the substrate crates into a vehicle-integration-platform
-//! model and provides the analysis and configuration tooling the paper
-//! calls for:
+//! model:
 //!
 //! * [`architecture`] — the three classes of centralized E/E
 //!   architectures of Fig. 1, as a typed taxonomy;
@@ -16,10 +15,7 @@
 //!   MemGuard regulation — the substrate on which interference is
 //!   *measured*;
 //! * [`qos`] — QoS contracts and their verification against both
-//!   measured reports and analytic (network-calculus) bounds;
-//! * [`config_search`] — the "automated profiling as well as
-//!   sophisticated configuration tooling" §II demands: searching cache
-//!   partitionings and regulation budgets that make contracts hold.
+//!   measured reports and analytic (network-calculus) bounds.
 //!
 //! # Quickstart
 //!
@@ -39,13 +35,9 @@
 //! ```
 
 pub mod architecture;
-pub mod config_search;
 pub mod cosim;
 pub mod design_space;
-pub mod hypervisor;
-pub mod mpam_bridge;
 pub mod platform;
-pub mod profiling;
 pub mod qos;
 pub mod workload;
 

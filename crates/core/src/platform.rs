@@ -91,11 +91,7 @@ impl PlatformConfig {
     /// budget is smaller than one cache line (64 B), which would deadlock
     /// the issuing core.
     pub fn with_memguard(mut self, period: SimDuration, budgets: Vec<u64>) -> Self {
-        assert_eq!(budgets.len(), self.cores, "one budget per core");
-        assert!(
-            budgets.iter().all(|&b| b >= 64),
-            "budgets below one line would deadlock a core"
-        );
+        check_memguard_budgets(self.cores, &budgets);
         self.memguard = Some((period, budgets));
         self
     }
@@ -133,6 +129,18 @@ impl PlatformConfig {
         self.l2 = Some((cores_per_cluster, l2, hit_ns));
         self
     }
+}
+
+/// Panics unless there is one budget per core and every budget covers at
+/// least one cache line (64 B). [`Platform::run`] indexes the regulator
+/// by core, and a zero budget throttles its core at every period
+/// boundary forever.
+fn check_memguard_budgets(cores: usize, budgets: &[u64]) {
+    assert_eq!(budgets.len(), cores, "one budget per core");
+    assert!(
+        budgets.iter().all(|&b| b >= 64),
+        "budgets below one line would deadlock a core"
+    );
 }
 
 /// Per-core results of a platform run.
@@ -210,11 +218,16 @@ impl Platform {
     ///
     /// # Panics
     ///
-    /// Panics on invalid configuration (zero cores/banks, bad timing).
+    /// Panics on invalid configuration (zero cores/banks, bad timing, or
+    /// MemGuard budgets that [`PlatformConfig::with_memguard`] would
+    /// reject, however they were set).
     pub fn new(config: PlatformConfig) -> Self {
         assert!(config.cores > 0, "need at least one core");
         assert!(config.dram_banks > 0, "need at least one bank");
         config.dram_timing.validate().expect("valid DRAM timing");
+        if let Some((_, budgets)) = &config.memguard {
+            check_memguard_budgets(config.cores, budgets);
+        }
         let cache = SetAssocCache::new(config.cache);
         let l2s = match &config.l2 {
             Some((per_cluster, l2_cfg, _)) => {
@@ -266,14 +279,6 @@ impl Platform {
         let (per_cluster, _, _) = self.config.l2.as_ref().expect("no cluster L2 configured");
         let cluster = core / per_cluster;
         self.l2s[cluster].set_allocation_mask(FlowId(core as u32), mask);
-    }
-
-    /// The cluster index of `core` (0 when no L2/clusters configured).
-    pub fn cluster_of(&self, core: usize) -> usize {
-        match &self.config.l2 {
-            Some((per_cluster, _, _)) => core / per_cluster,
-            None => 0,
-        }
     }
 
     /// Runs the workloads to completion (cache and regulator state are
@@ -656,5 +661,22 @@ mod tests {
     fn starvation_budget_rejected() {
         let _ =
             PlatformConfig::small().with_memguard(SimDuration::from_us(1.0), vec![63, 64, 64, 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one budget per core")]
+    fn core_count_changed_after_memguard_rejected() {
+        let cfg = PlatformConfig::tiny()
+            .with_memguard(SimDuration::from_us(10.0), vec![4096; 4])
+            .with_cores(8);
+        let _ = Platform::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn zero_budget_set_through_field_rejected() {
+        let mut cfg = PlatformConfig::tiny();
+        cfg.memguard = Some((SimDuration::from_us(10.0), vec![4096, 0, 4096, 4096]));
+        let _ = Platform::new(cfg);
     }
 }

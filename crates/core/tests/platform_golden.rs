@@ -11,8 +11,10 @@
 //!
 //! * the exact `Platform::run` inputs of the paper experiments
 //!   (`interference`, `ablation_cache`, `ablation_memguard`,
-//!   `ablation_cluster_l2`), of `config_search`'s and `profiling`'s
-//!   tests and of `examples/quickstart`;
+//!   `ablation_cluster_l2`), a way-split and MemGuard-budget sweep of a
+//!   probe against three hogs (`config_search …` rows), solo runs of
+//!   hogs, a probe and paced writers (`profiling …` rows) and
+//!   `examples/quickstart`;
 //! * seeded platforms covering what those inputs leave out: random
 //!   readers, write fractions 0, 0.3, 0.5 and 1, non-zero gaps, L3s
 //!   under LRU, tree-PLRU and random replacement with 1, 12, 16 and 64
@@ -163,10 +165,10 @@ fn ablation_cluster_l2(out: &mut String) {
     }
 }
 
-/// `config_search`'s tests: the unregulated base run, every way-split
-/// candidate `search_way_split` can try on `tiny()`, and the budgets
-/// `search_memguard_budget` halves through from 1 MiB until its test's
-/// contract holds (at 4 KiB).
+/// A 5k-access probe against three 30k-access hogs on `tiny()`: the
+/// unregulated base run, every split of the 16 L3 ways with 1 to 15
+/// private ways for the probe, and hog MemGuard budgets halving from
+/// 1 MiB to 4 KiB per 10 µs.
 fn config_search(out: &mut String) {
     let scenario = probe_and_hogs(5000, 3, 30_000);
     let mut base = Platform::new(PlatformConfig::tiny());
@@ -194,7 +196,8 @@ fn config_search(out: &mut String) {
     }
 }
 
-/// `profiling`'s and the analysis pipeline's solo profiling runs.
+/// Solo runs on `tiny()`: two hogs, a probe, and write-only hogs paced
+/// at 100 to 400 ns per access.
 fn profiling(out: &mut String) {
     let writer = |core, count, gap| {
         Workload::bandwidth_hog(core, count)

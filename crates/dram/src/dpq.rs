@@ -37,41 +37,6 @@ use crate::controller::DramEvent;
 use crate::request::{Completion, MasterId, Request, RequestKind};
 use crate::timing::DramTiming;
 
-/// Which arbitration policy a memory controller runs.
-///
-/// `FrFcfs` is the throughput-oriented baseline of §IV ([Fig. 4/5
-/// controller](crate::FrFcfsController)); `Dpq` is the
-/// predictability-oriented alternative modelled by [`DpqArbiter`]. The
-/// conformance harness checks each policy's simulator against its own
-/// analytic bound and [`autoplat-core`'s `search_arbiter_policy`] picks
-/// the cheaper bound for a given contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArbiterPolicy {
-    /// First-ready first-come-first-served with watermark write batching.
-    FrFcfs,
-    /// Dynamic Priority Queue: per-master FIFOs, least-recently-served
-    /// rotation, close-page accesses.
-    Dpq,
-}
-
-impl ArbiterPolicy {
-    /// Every supported policy, in display order.
-    pub const ALL: [ArbiterPolicy; 2] = [ArbiterPolicy::FrFcfs, ArbiterPolicy::Dpq];
-
-    /// Stable lower-case name (CLI flags, metrics labels).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ArbiterPolicy::FrFcfs => "frfcfs",
-            ArbiterPolicy::Dpq => "dpq",
-        }
-    }
-
-    /// Parses [`name`](Self::name) output back into a policy.
-    pub fn parse(s: &str) -> Option<ArbiterPolicy> {
-        ArbiterPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
 /// Aggregate outcome of one DPQ arbiter simulation.
 #[derive(Debug, Clone)]
 pub struct DpqOutcome {
@@ -361,14 +326,6 @@ pub fn adversarial_dpq_probe(masters: u32, depth: u32) -> u64 {
 mod tests {
     use super::*;
     use crate::timing::presets::{ddr3_1600, ddr4_2400, lpddr4_3200};
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in ArbiterPolicy::ALL {
-            assert_eq!(ArbiterPolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(ArbiterPolicy::parse("lottery"), None);
-    }
 
     #[test]
     fn single_master_single_request_costs_one_pipeline() {

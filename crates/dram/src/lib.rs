@@ -62,8 +62,6 @@ pub use config::ControllerConfig;
 pub use controller::{
     adversarial_wcd_workload, validation_controller, DramEvent, FrFcfsController,
 };
-pub use dpq::{
-    adversarial_dpq_probe, adversarial_dpq_workload, ArbiterPolicy, DpqArbiter, DpqOutcome,
-};
+pub use dpq::{adversarial_dpq_probe, adversarial_dpq_workload, DpqArbiter, DpqOutcome};
 pub use request::{Request, RequestKind};
 pub use timing::DramTiming;

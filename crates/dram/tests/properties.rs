@@ -149,14 +149,14 @@ mod controller {
     }
 }
 
-/// Regression pinned from `properties.proptest-regressions` (seed
-/// `cc 7370043e…`): LPDDR4-3200 with a small write batch (`N_wd = 6`)
-/// and a write rate that lands *just past* saturation — the short batch
-/// amortizes its turnarounds badly, so `rho = r·C_batch/N_wd +
-/// tRFC/tREFI = 1.0109`. The analysis must detect this and refuse a
-/// bound rather than iterate forever; at 95% of the same rate a finite
-/// bound exists again and the bound ordering holds. Kept as a named
-/// test so the case survives even if the proptest seed file is pruned.
+/// Regression pinned from proptest seed `cc 7370043e…`: LPDDR4-3200
+/// with a small write batch (`N_wd = 6`) and a write rate that lands
+/// *just past* saturation — the short batch amortizes its turnarounds
+/// badly, so `rho = r·C_batch/N_wd + tRFC/tREFI = 1.0109`. The analysis
+/// must detect this and refuse a bound rather than iterate forever; at
+/// 95% of the same rate a finite bound exists again and the bound
+/// ordering holds. The vendored proptest reads no seed files, so this
+/// named test is what replays the case.
 #[test]
 fn regression_lpddr4_small_batch_just_past_saturation() {
     use autoplat_dram::wcd::WcdError;

@@ -15,10 +15,10 @@
 //! * [`router`] — per-router input buffers, output-port locking (wormhole)
 //!   and round-robin (iSLIP-style single-iteration) arbitration;
 //! * [`network`] — the synchronous cycle-driven simulator with injection
-//!   queues, per-flow latency statistics and back-pressure;
-//! * [`traffic`] — seeded traffic generators, including token-bucket
-//!   regulated sources (the per-node rate limiters the admission-control
-//!   layer of §V configures).
+//!   queues, per-flow latency statistics and back-pressure.
+//!
+//! The per-node rate limiters the admission-control layer of §V
+//! configures are the clients of `autoplat-admission`.
 //!
 //! # Examples
 //!
@@ -37,7 +37,6 @@ pub mod network;
 pub mod packet;
 pub mod router;
 pub mod topology;
-pub mod traffic;
 
 pub use network::{NocConfig, NocEvent, NocSim, PacketRecord};
 pub use packet::{Flit, FlitKind, Packet};

@@ -139,28 +139,4 @@ proptest! {
         }
         prop_assert_eq!(crossed, expected_hops);
     }
-
-    #[test]
-    fn regulated_source_spacing_respects_rate(
-        burst in 1.0f64..16.0,
-        rate_milli in 1u32..500,
-        sizes in proptest::collection::vec(1u32..4, 1..40),
-    ) {
-        use autoplat_netcalc::conformance::first_violation;
-        use autoplat_netcalc::TokenBucket;
-        use autoplat_noc::traffic::RegulatedSource;
-        let rate = rate_milli as f64 / 1000.0;
-        let contract = TokenBucket::new(burst, rate);
-        let mut src = RegulatedSource::new(NodeId(0), contract);
-        let mut now = 0u64;
-        let mut trace = Vec::new();
-        for &flits in &sizes {
-            let flits = flits.min(burst as u32).max(1);
-            now = src.release_cycle(now, flits);
-            trace.push((now as f64, flits as f64));
-        }
-        // Integer-cycle rounding only ever delays, so the integer trace
-        // conforms to the continuous contract.
-        prop_assert_eq!(first_violation(&contract, &trace), None);
-    }
 }

@@ -14,10 +14,7 @@
 //! * [`process`] — the regulator's period roll as a timer on the shared
 //!   event kernel;
 //! * [`closed_loop`] — monitor-driven budget retuning with degradation
-//!   to safe static partitions;
-//! * [`shaper`] — a [`SimTime`]-domain token-bucket traffic shaper (the
-//!   hardware-friendly regulation primitive of §IV-A; only its own tests
-//!   drive it today).
+//!   to safe static partitions.
 //!
 //! # Examples
 //!
@@ -37,13 +34,10 @@
 //!     AccessDecision::ThrottledUntil(_)
 //! ));
 //! ```
-//!
-//! [`SimTime`]: autoplat_sim::SimTime
 
 pub mod closed_loop;
 pub mod memguard;
 pub mod process;
-pub mod shaper;
 
 pub use closed_loop::{
     ClosedLoopConfig, ClosedLoopController, DegradationReason, LoopAction, MonitorCapture,
@@ -51,4 +45,3 @@ pub use closed_loop::{
 };
 pub use memguard::{AccessDecision, MemGuard};
 pub use process::{MemGuardProcess, RegulationEvent};
-pub use shaper::TrafficShaper;

@@ -1,33 +1,10 @@
-//! Property-based tests for the traffic regulators.
+//! Property-based tests for the MemGuard bandwidth regulator.
 
-use autoplat_netcalc::conformance::first_violation;
-use autoplat_netcalc::TokenBucket;
 use autoplat_regulation::memguard::{AccessDecision, MemGuard};
-use autoplat_regulation::TrafficShaper;
 use autoplat_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn shaped_output_always_conformant(
-        burst in 1.0f64..32.0,
-        rate_milli in 1u32..1000,
-        amounts in proptest::collection::vec(0.1f64..4.0, 1..80),
-    ) {
-        let contract = TokenBucket::new(burst, rate_milli as f64 / 1000.0);
-        let mut shaper = TrafficShaper::new(contract);
-        let mut now = SimTime::ZERO;
-        let mut trace = Vec::new();
-        for &a in &amounts {
-            let amount = a.min(burst);
-            let rel = shaper.release_time(now, amount).expect("within burst");
-            trace.push((rel.as_ns(), amount));
-            now = rel;
-        }
-        prop_assert_eq!(first_violation(&contract, &trace), None);
-        prop_assert_eq!(shaper.shaped(), amounts.len() as u64);
-    }
-
     #[test]
     fn memguard_grants_at_most_budget_per_period(
         budget_lines in 1u64..64,
@@ -93,75 +70,4 @@ proptest! {
             prop_assert!(granted_bytes + 64 > budget, "core {core} shortchanged");
         }
     }
-
-    #[test]
-    fn shaper_reconfigure_preserves_conformance_to_new_contract(
-        r1 in 1u32..500,
-        r2 in 1u32..500,
-        n in 1usize..30,
-    ) {
-        let c1 = TokenBucket::new(4.0, r1 as f64 / 1000.0);
-        let c2 = TokenBucket::new(4.0, r2 as f64 / 1000.0);
-        let mut shaper = TrafficShaper::new(c1);
-        let mut now = SimTime::ZERO;
-        for _ in 0..n {
-            now = shaper.release_time(now, 1.0).expect("fits");
-        }
-        shaper.reconfigure(now, c2);
-        let mut trace = Vec::new();
-        for _ in 0..n {
-            now = shaper.release_time(now, 1.0).expect("fits");
-            trace.push((now.as_ns(), 1.0));
-        }
-        prop_assert_eq!(first_violation(&c2, &trace), None);
-    }
-}
-
-/// Regression pinned from `properties.proptest-regressions` (seed
-/// `cc 4ee39c27…`, shrunk to `r1 = 1, r2 = 11, n = 5`): reconfiguring a
-/// shaper from a very slow contract (1 unit per microsecond) to a faster
-/// one must not let credit earned under the old contract leak into the
-/// new one — the first releases after `reconfigure` once violated the
-/// new bucket. Kept as a named test so the case survives even if the
-/// proptest seed file is pruned.
-#[test]
-fn regression_reconfigure_slow_to_fast_does_not_leak_credit() {
-    let c1 = TokenBucket::new(4.0, 1.0 / 1000.0);
-    let c2 = TokenBucket::new(4.0, 11.0 / 1000.0);
-    let mut shaper = TrafficShaper::new(c1);
-    let mut now = SimTime::ZERO;
-    for _ in 0..5 {
-        now = shaper.release_time(now, 1.0).expect("fits");
-    }
-    shaper.reconfigure(now, c2);
-    let mut trace = Vec::new();
-    for _ in 0..5 {
-        now = shaper.release_time(now, 1.0).expect("fits");
-        trace.push((now.as_ns(), 1.0));
-    }
-    assert_eq!(first_violation(&c2, &trace), None);
-}
-
-/// Regression pinned from `properties.proptest-regressions` (seed
-/// `cc 97dc8192…`, shrunk to `burst = 1.0, rate_milli = 1`, amounts
-/// `[0.6047…, 3.1009…]`): a request larger than the remaining burst
-/// (clamped to the burst size) at the slowest rate once produced a
-/// release instant that broke bucket conformance by a rounding hair.
-/// Kept as a named test so the case survives even if the proptest seed
-/// file is pruned.
-#[test]
-fn regression_minimal_rate_near_burst_release_is_conformant() {
-    let burst = 1.0;
-    let contract = TokenBucket::new(burst, 1.0 / 1000.0);
-    let mut shaper = TrafficShaper::new(contract);
-    let mut now = SimTime::ZERO;
-    let mut trace = Vec::new();
-    for a in [0.6047900955436639f64, 3.1009981262409743] {
-        let amount = a.min(burst);
-        let rel = shaper.release_time(now, amount).expect("within burst");
-        trace.push((rel.as_ns(), amount));
-        now = rel;
-    }
-    assert_eq!(first_violation(&contract, &trace), None);
-    assert_eq!(shaper.shaped(), 2);
 }

@@ -3,13 +3,15 @@
 //! A Resource Manager admits a mixed-criticality set of applications
 //! under the non-symmetric (importance-weighted) policy, reconfiguring
 //! every source's injection rate on each mode change. The admitted rates
-//! then drive token-bucket-regulated sources on the wormhole NoC
-//! simulator, and the end-to-end latency guarantee of each flow across
-//! the NoC + DRAM chain is computed with network calculus.
+//! then configure each node's client, whose token bucket releases the
+//! packets injected into the wormhole NoC simulator, and the end-to-end
+//! latency guarantee of each flow across the NoC + DRAM chain is computed
+//! with network calculus.
 //!
 //! Run with: `cargo run --example e2e_admission`
 
 use autoplat_admission::app::{AppId, Application};
+use autoplat_admission::client::{Client, TransmitDecision};
 use autoplat_admission::e2e::{noc_path_curve, ResourceChain};
 use autoplat_admission::modes::WeightedPolicy;
 use autoplat_admission::rm::ResourceManager;
@@ -18,7 +20,6 @@ use autoplat_dram::timing::presets::ddr3_1600;
 use autoplat_dram::wcd::WcdParams;
 use autoplat_dram::ControllerConfig;
 use autoplat_netcalc::arrival::gbps_bucket;
-use autoplat_noc::traffic::RegulatedSource;
 use autoplat_noc::{NocConfig, NocSim, NodeId, Packet};
 use autoplat_sim::SimTime;
 
@@ -56,7 +57,7 @@ fn main() {
         rm.total_overhead()
     );
 
-    // The data layer: regulated sources injecting on a 4x4 mesh.
+    // The data layer: client-regulated sources injecting on a 4x4 mesh.
     let mut noc = NocSim::new(NocConfig::new(4, 4));
     let dest = NodeId(10);
     let mut id = 0u64;
@@ -64,11 +65,14 @@ fn main() {
         let node = apps[app.0 as usize].node;
         // NoC regulation works in flits/cycle; scale requests/ns into
         // 4-flit packets per 1 ns cycle.
-        let flit_contract = contract.scale(4.0);
-        let mut source = RegulatedSource::new(NodeId(node), flit_contract);
+        let mut client = Client::new(*app, node);
+        client.on_config(0, contract.scale(4.0));
         let mut now = 0u64;
         for _ in 0..40 {
-            now = source.release_cycle(now, 4);
+            now = match client.request_transmit(now, 4.0) {
+                TransmitDecision::ReleaseAt(at) => at,
+                other => panic!("an admitted client must release, got {other:?}"),
+            };
             noc.inject(Packet::new(id, NodeId(node), dest, 4), now);
             id += 1;
         }

@@ -3,6 +3,7 @@
 //! across the `admission`, `netcalc`, `noc`, `dram` and `core` crates.
 
 use autoplat_admission::app::{AppId, Application};
+use autoplat_admission::client::{Client, TransmitDecision};
 use autoplat_admission::e2e::{noc_path_curve, ResourceChain};
 use autoplat_admission::modes::{RatePolicy, WeightedPolicy};
 use autoplat_admission::rm::ResourceManager;
@@ -13,7 +14,6 @@ use autoplat_dram::wcd::WcdParams;
 use autoplat_dram::ControllerConfig;
 use autoplat_netcalc::arrival::gbps_bucket;
 use autoplat_netcalc::conformance::first_violation;
-use autoplat_noc::traffic::RegulatedSource;
 use autoplat_noc::{NocConfig, NocSim, NodeId, Packet};
 use autoplat_sim::SimTime;
 
@@ -104,12 +104,16 @@ fn regulated_injection_is_contract_conformant_and_drains() {
         .contract(&apps[0], &apps)
         .expect("feasible")
         .scale(4.0); // requests/ns -> flits/cycle for 4-flit packets
-    let mut source = RegulatedSource::new(NodeId(0), contract);
+    let mut client = Client::new(AppId(0), 0);
+    client.on_config(0, contract);
     let mut noc = NocSim::new(NocConfig::new(4, 4));
     let mut trace = Vec::new();
     let mut now = 0u64;
     for i in 0..60u64 {
-        now = source.release_cycle(now, 4);
+        now = match client.request_transmit(now, 4.0) {
+            TransmitDecision::ReleaseAt(at) => at,
+            other => panic!("an admitted client must release, got {other:?}"),
+        };
         trace.push((now as f64, 4.0));
         noc.inject(Packet::new(i, NodeId(0), NodeId(15), 4), now);
     }
