@@ -26,13 +26,14 @@ for ex in quickstart dram_wcd e2e_admission ee_architectures dynamic_modes; do
 done
 
 echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, NoC, co-sim, regulator, oracles) =="
-# Release builds turn overflow checks and debug_asserts off; the calendar
-# queue's slot arithmetic, the scheduler's time accounting and queue
-# bitset, the cache's flat sets and per-flow state, the admission RMs'
-# cycle arithmetic and watchdog heap, and the NoC's ring index wrap and
-# bitset arithmetic must hold without them too. The co-sim's
-# allocations-per-packet bound and the platform's per-access bound and
-# golden reports run here as well. The DRAM crate runs here because its
+# Release builds turn overflow checks and debug_asserts off; the
+# scheduler's time accounting and queue bitset, the cache's flat sets and
+# per-flow state, the admission RMs' cycle arithmetic and watchdog heap,
+# and the NoC's ring index wrap and bitset arithmetic must hold without
+# them too. The allocation gates run here as well: the event kernel's
+# fixed handful per engine and the scheduler's per-run bound, the co-sim's
+# allocations-per-packet bound, and the platform's per-access bound and
+# golden reports. The DRAM crate runs here because its
 # streaming channel (with costs cached at construction) serves the paper
 # pass and every co-sim, and its FR-FCFS controller the WCD sweeps.
 # The regulator and the conformance oracles run here too: per-bank
@@ -140,8 +141,9 @@ cargo run -q --release -p autoplat-bench --bin campaign -- --smoke --determinist
 cmp "$SMOKE_DIR/campaign_w2.json" "$SMOKE_DIR/campaign_resumed.json"
 
 echo "== perf baseline smoke (queue/engine/cosim throughput + schema gate) =="
-# Quick scale; the perf binary itself enforces calendar >= heap throughput
-# and refuses to run unoptimized, so this gate needs --release.
+# Quick scale; the perf binary itself exits 1 if one §IV-A WCD bound
+# averages 1 ms or more, and refuses to run unoptimized, so this gate
+# needs --release.
 cargo run -q --release -p autoplat-bench --bin perf -- --quick \
     --export-kernel "$SMOKE_DIR/bench_kernel.json" \
     --export-cosim "$SMOKE_DIR/bench_cosim.json" >/dev/null

@@ -88,8 +88,9 @@ impl PlatformConfig {
     /// # Panics
     ///
     /// Panics if the budget list length differs from `cores` or any
-    /// budget is smaller than one cache line (64 B), which would deadlock
-    /// the issuing core.
+    /// budget is zero, which would deadlock the issuing core. A budget
+    /// below one cache line (64 B) is accepted: like a 64 B budget, it
+    /// grants one line per period.
     pub fn with_memguard(mut self, period: SimDuration, budgets: Vec<u64>) -> Self {
         check_memguard_budgets(self.cores, &budgets);
         self.memguard = Some((period, budgets));
@@ -131,15 +132,16 @@ impl PlatformConfig {
     }
 }
 
-/// Panics unless there is one budget per core and every budget covers at
-/// least one cache line (64 B). [`Platform::run`] indexes the regulator
-/// by core, and a zero budget throttles its core at every period
-/// boundary forever.
+/// Panics unless there is one budget per core and no budget is zero.
+/// [`Platform::run`] indexes the regulator by core, and a zero budget
+/// throttles its core at every period boundary forever. Any other budget
+/// lets its core progress: `MemGuard` grants an access whenever the
+/// period's usage is below the budget and lets that access overdraw it.
 fn check_memguard_budgets(cores: usize, budgets: &[u64]) {
     assert_eq!(budgets.len(), cores, "one budget per core");
     assert!(
-        budgets.iter().all(|&b| b >= 64),
-        "budgets below one line would deadlock a core"
+        budgets.iter().all(|&b| b > 0),
+        "a zero budget would deadlock its core"
     );
 }
 
@@ -220,7 +222,7 @@ impl Platform {
     ///
     /// Panics on invalid configuration (zero cores/banks, bad timing, or
     /// MemGuard budgets that [`PlatformConfig::with_memguard`] would
-    /// reject, however they were set).
+    /// reject, a wrong count or a zero budget, however they were set).
     pub fn new(config: PlatformConfig) -> Self {
         assert!(config.cores > 0, "need at least one core");
         assert!(config.dram_banks > 0, "need at least one bank");
@@ -657,10 +659,26 @@ mod tests {
     }
 
     #[test]
+    fn sub_line_budget_grants_one_line_per_period() {
+        // `MemGuard` grants while the period's usage is below the budget,
+        // so 63 B grants one 64 B line per 10 µs period, as 64 B does.
+        let finish = |budget: u64| {
+            let cfg = PlatformConfig::tiny()
+                .with_memguard(SimDuration::from_us(10.0), vec![budget, 4096, 4096, 4096]);
+            let r = Platform::new(cfg).run(&[Workload::bandwidth_hog(0, 100)]);
+            (r.cores[0].finished_at, r.cores[0].throttled)
+        };
+        let (at, throttled) = finish(63);
+        assert_eq!(at, SimTime::from_ns(990_020.0));
+        assert!(throttled > SimDuration::from_us(984.0), "{throttled}");
+        assert_eq!((at, throttled), finish(64));
+    }
+
+    #[test]
     #[should_panic(expected = "deadlock")]
-    fn starvation_budget_rejected() {
+    fn zero_budget_through_builder_rejected() {
         let _ =
-            PlatformConfig::small().with_memguard(SimDuration::from_us(1.0), vec![63, 64, 64, 64]);
+            PlatformConfig::small().with_memguard(SimDuration::from_us(1.0), vec![64, 0, 64, 64]);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! other threads stay out of the count. Ten times the horizon means ten
 //! times the events; a simulator whose allocations scale with its events
 //! shows up as a tenfold count, while one that only allocates to grow
-//! its buffers stays within a factor of two.
+//! its buffers stays within a factor of two. On four cores the backlog
+//! stays bounded, so the count is also held to a fixed handful: the
+//! engine's event queue and the job queues grow to their peak and stop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -54,6 +56,9 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// Allocations allowed in one four-core run, whatever its horizon.
+const MAX_ALLOCATIONS_PER_RUN: u64 = 48;
+
 #[test]
 fn global_fp_allocations_do_not_scale_with_events() {
     // The first set `ablation_sched` draws: seed 2021, 12 tasks, 0.7
@@ -78,5 +83,15 @@ fn global_fp_allocations_do_not_scale_with_events() {
             long <= 2 * short,
             "{cores} cores: {short} allocations over 20 ms but {long} over 200 ms"
         );
+        if cores == 4 {
+            // On one core the backlog grows for the whole horizon, and so
+            // do the job queues; only the relative bound applies there.
+            for (horizon, n) in [("20 ms", short), ("200 ms", long)] {
+                assert!(
+                    n <= MAX_ALLOCATIONS_PER_RUN,
+                    "4 cores: {n} allocations over {horizon}, more than {MAX_ALLOCATIONS_PER_RUN}"
+                );
+            }
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! * [`SimTime`] / [`SimDuration`] — integer picosecond simulated time, so
 //!   DDR timing parameters such as `tCK = 1.25 ns` are represented exactly;
 //! * [`EventQueue`] — a deterministic time-ordered event queue with FIFO
-//!   tie-breaking;
+//!   tie-breaking: one binary heap on `(time, seq)`, sized to the few
+//!   dozen events an engine holds;
 //! * [`Engine`] — a minimal run loop driving components that implement
 //!   [`Process`];
 //! * [`stats`] — streaming statistics (Welford mean/variance)

@@ -1,9 +1,42 @@
 //! Property-based tests for the simulation kernel.
 
 use autoplat_sim::engine::EventSink;
-use autoplat_sim::event::HeapEventQueue;
 use autoplat_sim::{Engine, EventQueue, Process, SimDuration, SimTime, Summary};
 use proptest::prelude::*;
+
+/// The queue contract written out as plainly as possible: pending
+/// `(at, seq, payload)` triples in a `Vec`, popped by a linear scan for
+/// the least `(at, seq)`. The differential properties below hold
+/// [`EventQueue`] to it.
+#[derive(Default)]
+struct ScanModel {
+    pending: Vec<(SimTime, u64, usize)>,
+    next_seq: u64,
+}
+
+impl ScanModel {
+    fn schedule(&mut self, at: SimTime, payload: usize) {
+        self.pending.push((at, self.next_seq, payload));
+        self.next_seq += 1;
+    }
+
+    fn least(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let (at, _, payload) = self.pending.swap_remove(self.least()?);
+        Some((at, payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.least().map(|i| self.pending[i].0)
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+}
 
 /// splitmix64: drives the sparse hold model.
 struct SplitMix(u64);
@@ -110,53 +143,53 @@ proptest! {
     }
 
     #[test]
-    fn calendar_queue_matches_heap_reference_on_bulk_schedules(
+    fn event_queue_matches_scan_model_on_bulk_schedules(
         times in proptest::collection::vec(0u64..500, 1..300),
     ) {
         // Heavy same-timestamp collisions: the FIFO seq tie-break carries
-        // the ordering, and the calendar queue must reproduce the heap's
-        // pop sequence payload-for-payload.
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
+        // the ordering, and the queue must reproduce the model's pop
+        // sequence payload-for-payload.
+        let mut q = EventQueue::new();
+        let mut model = ScanModel::default();
         for (i, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime::from_ps(t), i);
-            heap.schedule(SimTime::from_ps(t), i);
+            q.schedule(SimTime::from_ps(t), i);
+            model.schedule(SimTime::from_ps(t), i);
         }
         for _ in 0..times.len() {
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
-            prop_assert_eq!(cal.pop(), heap.pop());
+            prop_assert_eq!(q.peek_time(), model.peek_time());
+            prop_assert_eq!(q.pop(), model.pop());
         }
-        prop_assert!(cal.is_empty());
+        prop_assert!(q.is_empty());
     }
 
     #[test]
-    fn calendar_queue_matches_heap_reference_with_far_future_overflow(
+    fn event_queue_matches_scan_model_with_far_future_interleaving(
         ops in proptest::collection::vec(
-            // (schedule?, near time, far multiplier) — far times land well
-            // beyond the calendar's near window, exercising the sorted
-            // overflow tier and adaptive re-centers.
+            // (pop?, near time, far multiplier): far times sit 50 µs
+            // apart, far beyond the near ones, and pops interleave with
+            // schedules on both scales.
             (any::<bool>(), 0u64..2_000, 0u64..8),
             1..200,
         ),
     ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut q = EventQueue::new();
+        let mut model = ScanModel::default();
         let mut payload = 0usize;
         for &(is_pop, near, far) in &ops {
             if is_pop {
-                prop_assert_eq!(cal.pop(), heap.pop());
+                prop_assert_eq!(q.pop(), model.pop());
             } else {
                 let t = near + far * 50_000_000; // 0, 50 µs, 100 µs, ...
-                cal.schedule(SimTime::from_ps(t), payload);
-                heap.schedule(SimTime::from_ps(t), payload);
+                q.schedule(SimTime::from_ps(t), payload);
+                model.schedule(SimTime::from_ps(t), payload);
                 payload += 1;
             }
-            prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.peek_time());
         }
         // Drain both: the tails must agree too.
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (q.pop(), model.pop());
             prop_assert_eq!(&a, &b);
             if a.is_none() {
                 break;
@@ -165,39 +198,38 @@ proptest! {
     }
 
     #[test]
-    fn calendar_queue_matches_heap_reference_on_sparse_hold_schedules(
+    fn event_queue_matches_scan_model_on_sparse_hold_schedules(
         seed in any::<u64>(),
         initial in 1usize..=32,
     ) {
         // A hold model on a moving window: each step pops the earliest
         // event and schedules 0-3 more (one on average, keeping 1-32
-        // pending) at the popped time plus a sparse delay. The long gaps
-        // between occupied buckets carry the cursor across empty runs of
-        // the ring, and 3000 steps wrap it many times.
+        // pending) at the popped time plus a sparse delay, which mixes
+        // same-instant ties with gaps from 1 ps to 1 s.
         let mut rng = SplitMix(seed);
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut q = EventQueue::new();
+        let mut model = ScanModel::default();
         let mut payload = 0usize;
         for _ in 0..initial {
             let at = SimTime::from_ps(rng.sparse_delay());
-            cal.schedule(at, payload);
-            heap.schedule(at, payload);
+            q.schedule(at, payload);
+            model.schedule(at, payload);
             payload += 1;
         }
         for _ in 0..3_000 {
-            let popped = cal.pop();
-            prop_assert_eq!(&popped, &heap.pop());
+            let popped = q.pop();
+            prop_assert_eq!(&popped, &model.pop());
             let (now, _) = popped.expect("the hold model never drains");
             let fresh = [0, 0, 0, 1, 1, 1, 2, 3][rng.below(8) as usize];
-            let fresh = fresh.clamp(usize::from(cal.is_empty()), 32 - cal.len());
+            let fresh = fresh.clamp(usize::from(q.is_empty()), 32 - q.len());
             for _ in 0..fresh {
                 let at = now + SimDuration::from_ps(rng.sparse_delay());
-                cal.schedule(at, payload);
-                heap.schedule(at, payload);
+                q.schedule(at, payload);
+                model.schedule(at, payload);
                 payload += 1;
             }
-            prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.peek_time());
         }
     }
 
@@ -225,14 +257,13 @@ proptest! {
     }
 
     #[test]
-    fn next_seq_is_monotonic_across_bucket_epoch_rollovers(
+    fn next_seq_is_monotonic_across_queue_drains(
         rounds in proptest::collection::vec(0u64..4, 2..40),
     ) {
-        // Each round schedules into a window ~80 µs past the previous pops,
-        // forcing the calendar ring to roll its epoch (re-center off the
-        // overflow tier) repeatedly. Sequence numbers must keep strictly
-        // increasing the whole way — they are the FIFO tie-break and may
-        // never reset with the epoch.
+        // Each round schedules ~80 µs past the previous round's pops and
+        // drains the queue again. Sequence numbers must keep strictly
+        // increasing the whole way: they are the FIFO tie-break and may
+        // never reset when the queue empties.
         let mut q = EventQueue::new();
         let mut last_seq = q.next_seq();
         let mut base = 0u64;
@@ -244,7 +275,7 @@ proptest! {
                 last_seq = seq;
             }
             while q.pop().is_some() {}
-            base += 80_000_000; // ~80 µs: far outside the near window
+            base += 80_000_000; // ~80 µs
         }
     }
 
