@@ -29,13 +29,15 @@ echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, N
 # Release builds turn overflow checks and debug_asserts off; the
 # scheduler's time accounting and queue bitset, the cache's flat sets and
 # per-flow state, the admission RMs' cycle arithmetic and watchdog heap,
-# and the NoC's ring index wrap and bitset arithmetic must hold without
-# them too. The allocation gates run here as well: the event kernel's
-# fixed handful per engine and the scheduler's per-run bound, the co-sim's
-# allocations-per-packet bound, and the platform's per-access bound and
-# golden reports. The DRAM crate runs here because its
-# streaming channel (with costs cached at construction) serves the paper
-# pass and every co-sim, and its FR-FCFS controller the WCD sweeps.
+# and the NoC's ring index wrap, bitset arithmetic, hashed in-flight
+# table and drained completion queue must hold without them too. The
+# allocation gates run here as well: the event kernel's fixed handful per
+# engine and the scheduler's per-run bound, the co-sim's
+# allocations-per-packet bound and horizon-flat peak of live bytes, and
+# the platform's per-access bound and golden reports. The DRAM crate runs
+# here because its streaming channel (with costs cached at construction)
+# serves the paper pass and every co-sim, and its FR-FCFS controller the
+# WCD sweeps.
 # The regulator and the conformance oracles run here too: per-bank
 # regulation otherwise runs in release only in the full campaign grid,
 # and the sweep's shard merge must match the serial sweep without its

@@ -61,7 +61,6 @@ pub mod control_plane;
 pub mod e2e;
 pub mod error;
 pub mod fleet;
-mod hash;
 pub mod modes;
 pub mod protocol;
 pub mod rm;

@@ -21,10 +21,10 @@
 //! [`ReceiveState`] per peer so duplicated deliveries (retransmission or
 //! fault injection) are processed exactly once.
 
+use autoplat_sim::hash::{FxHashMap, FxHashSet};
 use autoplat_sim::SimTime;
 
 use crate::app::AppId;
-use crate::hash::{FxHashMap, FxHashSet};
 use crate::modes::SystemMode;
 
 /// A control-layer message.

@@ -22,9 +22,10 @@
 
 use std::collections::BTreeSet;
 
+use autoplat_sim::hash::FxHashMap;
+
 use crate::app::AppId;
 use crate::client::RetryPolicy;
-use crate::hash::FxHashMap;
 use crate::modes::RatePolicy;
 use crate::protocol::{BundleItem, ClusterBundle, ClusterId, Envelope, GrantDecision, RootBundle};
 use crate::rm::ResourceManager;

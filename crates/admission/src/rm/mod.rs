@@ -37,12 +37,12 @@ pub mod root;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
+use autoplat_sim::hash::{FxHashMap, FxHashSet};
 use autoplat_sim::{SimDuration, SimTime};
 
 use crate::app::{AppId, Application};
 use crate::client::RetryPolicy;
 use crate::error::{check_latency, AdmissionError};
-use crate::hash::{FxHashMap, FxHashSet};
 use crate::modes::{RatePolicy, SystemMode};
 use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState};
 

@@ -506,7 +506,7 @@ impl<P: RatePolicy> Scenario<P> {
         );
         ScenarioOutcome {
             observations,
-            delivered: noc.completed().len(),
+            delivered: noc.delivered(),
             injected,
             mean_latency_cycles: noc.latency_cycles().mean(),
             rejected,
@@ -678,7 +678,7 @@ impl<P: RatePolicy> Scenario<P> {
         };
         Ok(ScenarioOutcome {
             observations,
-            delivered: noc.completed().len(),
+            delivered: noc.delivered(),
             injected,
             mean_latency_cycles: noc.latency_cycles().mean(),
             rejected,

@@ -40,7 +40,7 @@ use autoplat_mpam::{
     CacheStorageMonitor, MemoryBandwidthMonitor, MemorySystemComponent, MonitorFilter, MpamLabel,
     PartId, PartIdSpace, Pmg,
 };
-use autoplat_noc::{NocConfig, NocEvent, NocSim, NodeId, Packet};
+use autoplat_noc::{NocConfig, NocEvent, NocSim, NodeId, Packet, PacketRecord};
 use autoplat_regulation::memguard::{AccessDecision, MemGuard};
 use autoplat_regulation::{
     ClosedLoopConfig, ClosedLoopController, DegradationReason, LoopAction, MemGuardProcess,
@@ -647,7 +647,9 @@ pub struct CoSim {
     controls: Vec<(SimTime, ControlCommand)>,
     packets: PacketWindow,
     next_job_id: u64,
-    noc_cursor: usize,
+    /// Completion records taken from the network, kept to reuse their
+    /// storage: a drain holds one tick's ejections at most.
+    ejected: Vec<PacketRecord>,
     horizon: SimTime,
     guaranteed: f64,
     dram_row_hits: u64,
@@ -745,7 +747,7 @@ impl CoSim {
             controls: cfg.controls.clone(),
             packets: PacketWindow::default(),
             next_job_id: 0,
-            noc_cursor: 0,
+            ejected: Vec::new(),
             horizon: cfg.horizon,
             guaranteed: cfg.guaranteed_bytes_per_sec,
             dram_row_hits: 0,
@@ -884,7 +886,7 @@ impl CoSim {
         });
 
         CoSimReport {
-            packets_delivered: self.noc.completed().len(),
+            packets_delivered: self.noc.delivered(),
             mean_noc_latency_cycles: self.noc.latency_cycles().mean(),
             dram_busy: self.dram.busy(),
             dram_row_hits: self.dram_row_hits,
@@ -943,15 +945,17 @@ impl CoSim {
         self.noc.pump(&mut MapSink::new(sink, CoSimEvent::Noc));
     }
 
-    /// Routes newly ejected packets: requests to the DRAM channel (whose
-    /// completion releases the response packet back into the mesh),
-    /// responses to their issuing job. Pumps the network only when a
-    /// response was injected: otherwise the tick just handled has already
-    /// scheduled whatever the network needs.
+    /// Drains the network's completion records and routes the ejected
+    /// packets: requests to the DRAM channel (whose completion releases
+    /// the response packet back into the mesh), responses to their
+    /// issuing job. Pumps the network only when a response was injected:
+    /// otherwise the tick just handled has already scheduled whatever the
+    /// network needs.
     fn drain_noc(&mut self, sink: &mut dyn EventSink<CoSimEvent>) {
         let mut injected = false;
-        while let Some(&rec) = self.noc.completed().get(self.noc_cursor) {
-            self.noc_cursor += 1;
+        let mut ejected = std::mem::take(&mut self.ejected);
+        ejected.extend(self.noc.drain_completed());
+        for rec in ejected.drain(..) {
             let (pid, at) = (rec.packet.id, rec.ejected_at);
             match self.packets.take(pid) {
                 Some(PacketInfo::Request { task, job, addr }) => {
@@ -1022,6 +1026,7 @@ impl CoSim {
                 None => unreachable!("ejected packet {pid} was never mapped"),
             }
         }
+        self.ejected = ejected;
         if injected {
             self.noc.pump(&mut MapSink::new(sink, CoSimEvent::Noc));
         }

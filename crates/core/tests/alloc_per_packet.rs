@@ -1,14 +1,18 @@
-//! A co-simulation's steady-state packets must not allocate.
+//! A co-simulation's steady-state packets must not allocate, and its
+//! memory must not grow with the horizon.
 //!
-//! This test binary installs a counting global allocator. The counter is
-//! a `const` thread-local, so allocations made by the test harness's
-//! other threads stay out of the count. The closed-loop `small_qos`
-//! platform runs to two horizons, and only `CoSim::run` is counted; the
-//! extra half millisecond carries about 12,000 more packets through the
-//! mesh. The extra allocations over the extra packets must stay below
-//! one per two packets: a network that allocates flits per packet, or a
-//! drain that collects its arrivals per tick, shows up as several per
-//! packet.
+//! This test binary installs a counting global allocator that also
+//! tracks the bytes live on each thread and their high-water mark. The
+//! counters are `const` thread-locals, so allocations made by the test
+//! harness's other threads stay out of the count. The closed-loop
+//! `small_qos` platform runs to two horizons, and only `CoSim::run` is
+//! counted; the extra half millisecond carries about 12,000 more packets
+//! through the mesh. The extra allocations over the extra packets must
+//! stay below one per two packets: a network that allocates flits per
+//! packet, or a drain that collects its arrivals per tick, shows up as
+//! several per packet. The peak of live bytes must stay nearly flat: a
+//! store that keeps a record per packet for the whole run grows by
+//! hundreds of KiB over the extra half millisecond.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,6 +23,11 @@ use autoplat_sim::SimTime;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread. Signed: memory
+    /// another thread allocated may be freed here.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE_BYTES` since the last reset.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -28,21 +37,33 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Adds `delta` bytes to this thread's live total and raises its peak.
+fn track(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 // SAFETY: every call forwards to `System` with the caller's arguments;
-// the counter is a `Cell` in a `const` thread-local, which never
-// allocates.
+// the counters are `Cell`s in `const` thread-locals, which never
+// allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        track(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        track(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,13 +78,27 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-/// Packets delivered by a seed-1 `small_qos` co-sim released up to
-/// `horizon_us`, and the allocations its `run` made.
-fn run(horizon_us: f64) -> (u64, u64) {
+/// The most bytes this thread held live while `f` ran, beyond those live
+/// when it started, and its result.
+fn peak_bytes_during<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    let out = f();
+    (PEAK_BYTES.with(Cell::get) - before, out)
+}
+
+/// A seed-1 `small_qos` co-sim released up to `horizon_us`.
+fn small_qos(horizon_us: f64) -> CoSim {
     let mut cfg = CoSimConfig::small_qos();
     cfg.horizon = SimTime::from_us(horizon_us);
     cfg.seed = 1;
-    let sim = CoSim::new(cfg);
+    CoSim::new(cfg)
+}
+
+/// Packets delivered by a seed-1 `small_qos` co-sim released up to
+/// `horizon_us`, and the allocations its `run` made.
+fn run(horizon_us: f64) -> (u64, u64) {
+    let sim = small_qos(horizon_us);
     let (allocations, report) = allocations_during(|| sim.run());
     (report.packets_delivered as u64, allocations)
 }
@@ -80,6 +115,17 @@ fn steady_state_packets_do_not_allocate() {
         "{short_allocations} allocations for {short_packets} packets over 0.5 ms, \
          {long_allocations} for {long_packets} over 1 ms: {extra_allocations} for \
          {extra_packets} extra packets"
+    );
+}
+
+#[test]
+fn peak_memory_does_not_grow_with_the_horizon() {
+    let (sim_short, sim_long) = (small_qos(500.0), small_qos(1_000.0));
+    let (short, _) = peak_bytes_during(|| sim_short.run());
+    let (long, _) = peak_bytes_during(|| sim_long.run());
+    assert!(
+        (long - short).abs() < 64 * 1024,
+        "peak live bytes {short} over 0.5 ms, {long} over 1 ms"
     );
 }
 

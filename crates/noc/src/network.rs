@@ -28,6 +28,12 @@
 //!   ([`InputBuffers`]), and a source queue holds whole packets, making
 //!   each flit (with [`Packet::flit`]) as it enters the local port.
 //!
+//! A packet costs O(1) bookkeeping whatever the backlog: the in-flight
+//! table is a hash map on packet id, and a caller that takes completion
+//! records with [`NocSim::drain_completed`] keeps the record store as
+//! small as one cycle's ejections. The delivered count and the latency
+//! statistics live beside the records, so draining changes no export.
+//!
 //! No per-cycle reservation of downstream buffer slots is needed: input
 //! port `p` of router `d` is fed by exactly one (router, output) pair —
 //! the neighbour of `d` towards `p`, through output `p.opposite()` — and
@@ -41,10 +47,11 @@
 //! win on sparse traffic. [`NocSim::step`] remains the tick-stepped
 //! primitive (one cycle of movement) that each delivered tick executes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use autoplat_sim::engine::{Engine, EventSink, Process};
-use autoplat_sim::metrics::MetricsRegistry;
+use autoplat_sim::hash::FxHashMap;
+use autoplat_sim::metrics::{HistogramSketch, MetricsRegistry};
 use autoplat_sim::{SimDuration, SimTime, Summary};
 
 use crate::packet::{Flit, Packet};
@@ -240,9 +247,10 @@ pub struct NocSim {
     active: NodeSet,
     /// Nodes whose source queue is non-empty.
     queued: NodeSet,
-    /// Packet bookkeeping: id → (packet, release instant). Ordered so
-    /// every walk over in-flight packets is deterministic.
-    in_flight: BTreeMap<u64, (Packet, SimTime)>,
+    /// Packet bookkeeping: id → (packet, release instant), looked up by
+    /// id only.
+    in_flight: FxHashMap<u64, (Packet, SimTime)>,
+    /// Completion records not yet drained, in completion order.
     completed: Vec<PacketRecord>,
     /// The front of simulated time: the start of the next cycle to run.
     now: SimTime,
@@ -250,7 +258,12 @@ pub struct NocSim {
     /// Fire time of the tick currently scheduled on a driving engine, if
     /// any; stale (superseded) ticks are recognised and ignored.
     scheduled: Option<SimTime>,
+    /// Latency statistics over every delivered packet, in cycles; its
+    /// count is the delivered count.
     latency: Summary,
+    /// The same latencies as a histogram for [`NocSim::publish_metrics`],
+    /// built at the first delivery.
+    latency_sketch: Option<HistogramSketch>,
     /// Phase-A decisions of the current cycle; kept to reuse its storage.
     moves: Vec<Move>,
     /// Flit traversals per directed link, indexed `router * 5 + output
@@ -288,12 +301,13 @@ impl NocSim {
             sources: (0..nodes).map(|_| VecDeque::new()).collect(),
             active: NodeSet::new(nodes),
             queued: NodeSet::new(nodes),
-            in_flight: BTreeMap::new(),
+            in_flight: FxHashMap::default(),
             completed: Vec::new(),
             now: SimTime::ZERO,
             cycle_time,
             scheduled: None,
             latency: Summary::new(),
+            latency_sketch: None,
             moves: Vec::new(),
             link_flits: vec![0; nodes * 5],
         }
@@ -335,18 +349,19 @@ impl NocSim {
     /// # Panics
     ///
     /// Panics if source or destination lie outside the mesh, or if the
-    /// packet id is already in flight.
+    /// packet id is already in flight. An id may be reused once its
+    /// packet is delivered.
     pub fn inject_at(&mut self, packet: Packet, release: SimTime) {
         assert!(
             self.mesh.contains(packet.src) && self.mesh.contains(packet.dest),
             "packet endpoints outside mesh"
         );
+        let previous = self.in_flight.insert(packet.id, (packet, release));
         assert!(
-            !self.in_flight.contains_key(&packet.id),
+            previous.is_none(),
             "packet id {} already in flight",
             packet.id
         );
-        self.in_flight.insert(packet.id, (packet, release));
         let src = packet.src.0 as usize;
         self.sources[src].push_back(Queued {
             packet,
@@ -450,7 +465,11 @@ impl NocSim {
             ejected_at: self.now + self.cycle_time,
             cycle_time: self.cycle_time,
         };
-        self.latency.record(rec.latency_cycles() as f64);
+        let cycles = rec.latency_cycles() as f64;
+        self.latency.record(cycles);
+        self.latency_sketch
+            .get_or_insert_with(HistogramSketch::new)
+            .record(cycles);
         self.completed.push(rec);
     }
 
@@ -666,12 +685,30 @@ impl NocSim {
         self.active.is_empty() && self.queued.is_empty()
     }
 
-    /// Completed packets, in completion order.
+    /// Completion records not yet drained, in completion order. A network
+    /// that is never drained keeps every record here.
     pub fn completed(&self) -> &[PacketRecord] {
         &self.completed
     }
 
-    /// Latency statistics over completed packets, in cycles.
+    /// Takes the completion records not yet drained, in completion order,
+    /// and leaves the record store empty (its storage is kept). A caller
+    /// that drains after every cycle holds at most one cycle's ejections;
+    /// [`delivered`](NocSim::delivered), [`latency_cycles`] and
+    /// [`publish_metrics`] still count every packet.
+    ///
+    /// [`latency_cycles`]: NocSim::latency_cycles
+    /// [`publish_metrics`]: NocSim::publish_metrics
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, PacketRecord> {
+        self.completed.drain(..)
+    }
+
+    /// Packets delivered since construction, drained or not.
+    pub fn delivered(&self) -> usize {
+        self.latency.count() as usize
+    }
+
+    /// Latency statistics over every delivered packet, in cycles.
     pub fn latency_cycles(&self) -> &Summary {
         &self.latency
     }
@@ -687,7 +724,8 @@ impl NocSim {
         self.in_flight.len()
     }
 
-    /// Per-source latency statistics over completed packets (cycles).
+    /// Per-source latency statistics (cycles) over the completion records
+    /// not yet drained.
     pub fn flow_latency(&self, src: NodeId) -> Summary {
         let mut s = Summary::new();
         for r in self.completed.iter().filter(|r| r.packet.src == src) {
@@ -719,7 +757,8 @@ impl NocSim {
     ///
     /// * counters — `noc.packets_delivered`, `noc.cycles`,
     ///   `noc.flits_sent`;
-    /// * histogram — `noc.packet_latency_cycles` over completed packets;
+    /// * histogram — `noc.packet_latency_cycles` over every delivered
+    ///   packet, drained or not (absent while none was delivered);
     /// * gauges — `noc.link.{node}.{dir}.utilization` for every directed
     ///   link that carried at least one flit, plus
     ///   `noc.hottest_link_utilization`.
@@ -727,11 +766,11 @@ impl NocSim {
     /// Links are walked in node/direction order, so exports are
     /// deterministic regardless of `HashMap` iteration order.
     pub fn publish_metrics(&self, metrics: &mut MetricsRegistry) {
-        metrics.counter_add("noc.packets_delivered", self.completed.len() as u64);
+        metrics.counter_add("noc.packets_delivered", self.latency.count());
         metrics.counter_add("noc.cycles", self.cycle());
         metrics.counter_add("noc.flits_sent", self.link_flits.iter().sum());
-        for rec in &self.completed {
-            metrics.observe("noc.packet_latency_cycles", rec.latency_cycles() as f64);
+        if let Some(sketch) = &self.latency_sketch {
+            metrics.merge_histogram("noc.packet_latency_cycles", sketch);
         }
         for node in 0..self.mesh.nodes() {
             for dir in Direction::ALL {

@@ -1,7 +1,15 @@
 //! Property-based tests for the NoC simulator.
 
 use autoplat_noc::{Mesh, NocConfig, NocSim, NodeId, Packet};
+use autoplat_sim::metrics::MetricsRegistry;
 use proptest::prelude::*;
+
+/// The `noc.*` export of `noc` as JSON.
+fn export(noc: &NocSim) -> String {
+    let mut metrics = MetricsRegistry::new();
+    noc.publish_metrics(&mut metrics);
+    metrics.to_json()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -65,6 +73,69 @@ proptest! {
             prop_assert!(steps < 1_000_000, "must drain");
         }
         prop_assert_eq!(noc.completed().len(), specs.len());
+    }
+
+    #[test]
+    fn draining_completion_records_changes_no_export(
+        cols in 1u32..5,
+        rows in 1u32..5,
+        buffer in 1usize..4,
+        specs in proptest::collection::vec(
+            (0u32..100, 0u32..100, any::<bool>(), 1u32..6, 0u64..40, 0u8..3),
+            1..50,
+        ),
+    ) {
+        // Twin networks see the same contended traffic (half of it, at
+        // random, into one hotspot); one is drained after every cycle.
+        let config = NocConfig::new(cols, rows).with_buffer_flits(buffer);
+        let nodes = cols * rows;
+        let packets: Vec<(Packet, u64)> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d, hot, flits, at, priority))| {
+                let dst = if hot { NodeId(nodes - 1) } else { NodeId(d % nodes) };
+                let packet = Packet::new(i as u64, NodeId(s % nodes), dst, flits)
+                    .with_priority(priority);
+                (packet, at)
+            })
+            .collect();
+        let (mut kept, mut drained) = (NocSim::new(config), NocSim::new(config));
+        let mut records = Vec::new();
+        // The second round reinjects packet 0 under its delivered id.
+        for round in [&packets[..], &packets[..1]] {
+            let start = kept.cycle();
+            for &(packet, at) in round {
+                kept.inject(packet, start + at);
+                drained.inject(packet, start + at);
+            }
+            let mut steps = 0u64;
+            while !kept.is_idle() {
+                kept.step();
+                drained.step();
+                records.extend(drained.drain_completed());
+                prop_assert!(drained.completed().is_empty());
+                prop_assert_eq!(drained.delivered(), kept.completed().len());
+                prop_assert_eq!(kept.delivered(), kept.completed().len());
+                steps += 1;
+                prop_assert!(steps < 1_000_000, "must drain");
+            }
+            prop_assert!(drained.is_idle());
+        }
+        prop_assert_eq!(kept.completed().len(), packets.len() + 1);
+        prop_assert_eq!(&records[..], kept.completed());
+        prop_assert_eq!(kept.latency_cycles(), drained.latency_cycles());
+        prop_assert_eq!(export(&kept), export(&drained));
+
+        // A run that delivers nothing exports no latency histogram.
+        let mut late = NocSim::new(config);
+        for &(packet, at) in &packets {
+            late.inject(packet, 1_000 + at);
+        }
+        late.run_cycles(1_000);
+        prop_assert_eq!(late.delivered(), 0);
+        let json = export(&late);
+        prop_assert!(!json.contains("noc.packet_latency_cycles"), "{}", json);
+        prop_assert!(export(&kept).contains("noc.packet_latency_cycles"));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   [`Process`];
 //! * [`stats`] — streaming statistics (Welford mean/variance)
 //!   used to report simulated latencies and bandwidths;
-//! * [`rng`] — seeded, reproducible random number plumbing.
+//! * [`rng`] — seeded, reproducible random number plumbing;
+//! * [`hash`] — a seedless hasher for maps looked up only by key, so
+//!   their `Debug` output and iteration are the same in every process.
 //!
 //! # Examples
 //!
@@ -31,6 +33,7 @@
 pub mod engine;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod rng;
