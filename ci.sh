@@ -17,13 +17,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 echo "== cargo test (all targets) =="
 cargo test -q --all-targets
 
-echo "== examples (run to completion) =="
+SMOKE_DIR="target/ci-smoke"
+mkdir -p "$SMOKE_DIR"
+
+echo "== examples (run to completion, stdout matches the committed output) =="
 # cargo test builds the examples but never runs them; running them
 # catches a panic in any of them (e2e_admission asserts that the
-# client-regulated traffic drains).
+# client-regulated traffic drains), and the diff catches a change in what
+# they print (dynamic_modes is the ideal admission path end to end).
 for ex in quickstart dram_wcd e2e_admission ee_architectures dynamic_modes; do
-    cargo run -q -p autoplat-core --example "$ex" >/dev/null
-done
+    cargo run -q -p autoplat-core --example "$ex"
+done > "$SMOKE_DIR/examples_stdout.txt"
+diff tests/golden/examples_stdout.txt "$SMOKE_DIR/examples_stdout.txt"
 
 echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, NoC, co-sim, regulator, oracles) =="
 # Release builds turn overflow checks and debug_asserts off; the
@@ -47,8 +52,6 @@ cargo test --release -q -p autoplat-sim -p autoplat-sched -p autoplat-cache \
     -p autoplat-regulation -p autoplat-conformance
 
 echo "== metrics export smoke (bench binary + schema gate) =="
-SMOKE_DIR="target/ci-smoke"
-mkdir -p "$SMOKE_DIR"
 cargo run -q -p autoplat-bench --bin validation -- --smoke \
     --export-json "$SMOKE_DIR/metrics.json" \
     --export-csv "$SMOKE_DIR/metrics.csv" >/dev/null
