@@ -102,7 +102,7 @@ impl<T: Payload> Link<T> {
         }
     }
 
-    /// The fault injector (for its trace and fault bookkeeping).
+    /// The fault injector (for its fault bookkeeping).
     pub fn injector(&self) -> &FaultInjector {
         &self.injector
     }

@@ -3,7 +3,8 @@
 //! "Each mode is defined by the number of currently active applications,
 //! and determines the minimum time separating every two transmissions
 //! issued from the same application." The RM recomputes every source's
-//! injection rate on each mode transition:
+//! injection rate on each mode transition, one [`RatePolicy::contracts`]
+//! call for the whole active set:
 //!
 //! * [`SymmetricPolicy`] — "transmission rates decrease uniformly for all
 //!   applications along with the increasing number of senders";
@@ -13,7 +14,7 @@
 
 use autoplat_netcalc::TokenBucket;
 
-use crate::app::Application;
+use crate::app::{AppId, Application};
 
 /// A system mode: the number of currently active applications.
 #[derive(
@@ -40,30 +41,14 @@ impl std::fmt::Display for SystemMode {
 /// A rate-allocation policy: maps the set of active applications to a
 /// token-bucket contract per application (rates in items/cycle).
 pub trait RatePolicy {
-    /// The contract of `app` when `active` are the currently active
-    /// applications (including `app` itself).
+    /// The contracts of every application in `active` (the mode's member
+    /// list), in `active` order, or `None` when the policy cannot serve
+    /// that set (admission must be refused).
     ///
-    /// Returns `None` when `app` cannot be served in this mode (admission
-    /// must be refused).
-    fn contract(&self, app: &Application, active: &[Application]) -> Option<TokenBucket>;
-
-    /// The contracts of every active application at once, in `active`
-    /// order, or `None` when the set is infeasible.
-    ///
-    /// Semantically identical to calling [`contract`](Self::contract) per
-    /// application; policies whose per-app contract scans the whole active
-    /// set should override this so a full reconfiguration round costs
-    /// O(n) instead of O(n²) — the difference between hundreds and a
-    /// million clients per mode transition.
-    fn contracts(&self, active: &[Application]) -> Option<Vec<(crate::app::AppId, TokenBucket)>> {
-        active
-            .iter()
-            .map(|a| self.contract(a, active).map(|tb| (a.id, tb)))
-            .collect()
-    }
-
-    /// The aggregate capacity (items/cycle) the policy distributes.
-    fn capacity(&self) -> f64;
+    /// A policy is a pure function of the active set, and one call prices
+    /// a whole reconfiguration round in O(n) — the difference between
+    /// hundreds and a million clients per mode transition.
+    fn contracts(&self, active: &[Application]) -> Option<Vec<(AppId, TokenBucket)>>;
 }
 
 /// Symmetric guarantees: each of the `n` active applications receives
@@ -77,8 +62,8 @@ pub trait RatePolicy {
 ///
 /// let policy = SymmetricPolicy::new(0.8, 4.0);
 /// let apps: Vec<_> = (0..4).map(|i| Application::best_effort(AppId(i), i)).collect();
-/// let tb = policy.contract(&apps[0], &apps).expect("symmetric always serves");
-/// assert!((tb.rate() - 0.2).abs() < 1e-12);
+/// let contracts = policy.contracts(&apps).expect("symmetric always serves");
+/// assert!(contracts.iter().all(|(_, tb)| (tb.rate() - 0.2).abs() < 1e-12));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SymmetricPolicy {
@@ -101,19 +86,10 @@ impl SymmetricPolicy {
 }
 
 impl RatePolicy for SymmetricPolicy {
-    fn contract(&self, _app: &Application, active: &[Application]) -> Option<TokenBucket> {
-        let n = active.len().max(1);
-        Some(TokenBucket::new(self.burst, self.capacity / n as f64))
-    }
-
-    fn contracts(&self, active: &[Application]) -> Option<Vec<(crate::app::AppId, TokenBucket)>> {
+    fn contracts(&self, active: &[Application]) -> Option<Vec<(AppId, TokenBucket)>> {
         let n = active.len().max(1);
         let tb = TokenBucket::new(self.burst, self.capacity / n as f64);
         Some(active.iter().map(|a| (a.id, tb)).collect())
-    }
-
-    fn capacity(&self) -> f64 {
-        self.capacity
     }
 }
 
@@ -151,31 +127,10 @@ impl WeightedPolicy {
 }
 
 impl RatePolicy for WeightedPolicy {
-    fn contract(&self, app: &Application, active: &[Application]) -> Option<TokenBucket> {
+    fn contracts(&self, active: &[Application]) -> Option<Vec<(AppId, TokenBucket)>> {
         let guaranteed: f64 = active.iter().map(|a| a.importance.guaranteed_rate()).sum();
         if guaranteed > self.capacity + 1e-12 {
             // The critical guarantees alone are infeasible.
-            return None;
-        }
-        let rate = if app.importance.is_critical() {
-            app.importance.guaranteed_rate()
-        } else {
-            let best_effort = active
-                .iter()
-                .filter(|a| !a.importance.is_critical())
-                .count();
-            if best_effort == 0 {
-                0.0
-            } else {
-                ((self.capacity - guaranteed) / best_effort as f64).max(self.best_effort_floor)
-            }
-        };
-        Some(TokenBucket::new(self.burst, rate))
-    }
-
-    fn contracts(&self, active: &[Application]) -> Option<Vec<(crate::app::AppId, TokenBucket)>> {
-        let guaranteed: f64 = active.iter().map(|a| a.importance.guaranteed_rate()).sum();
-        if guaranteed > self.capacity + 1e-12 {
             return None;
         }
         let best_effort = active
@@ -201,10 +156,6 @@ impl RatePolicy for WeightedPolicy {
                 .collect(),
         )
     }
-
-    fn capacity(&self) -> f64 {
-        self.capacity
-    }
 }
 
 /// Tabulates a policy over modes `1..=max_mode` for a homogeneous set of
@@ -222,12 +173,11 @@ pub fn rate_series<P: RatePolicy>(
     let mut out = Vec::with_capacity(max_mode);
     for n in 1..=max_mode {
         let active = &template[..n];
+        let contracts = policy.contracts(active);
         let rates = active
             .iter()
-            .map(|a| {
-                let tb = policy.contract(a, active).map(|t| t.rate()).unwrap_or(0.0);
-                (*a, tb)
-            })
+            .enumerate()
+            .map(|(i, a)| (*a, contracts.as_ref().map_or(0.0, |c| c[i].1.rate())))
             .collect();
         out.push((SystemMode(n), rates));
     }
@@ -237,7 +187,6 @@ pub fn rate_series<P: RatePolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{AppId, Application};
 
     fn be(n: u32) -> Application {
         Application::best_effort(AppId(n), n)
@@ -248,13 +197,14 @@ mod tests {
         let p = SymmetricPolicy::new(1.0, 8.0);
         for n in 1..=8usize {
             let active: Vec<_> = (0..n as u32).map(be).collect();
-            for a in &active {
-                let tb = p.contract(a, &active).expect("always serves");
+            let contracts = p.contracts(&active).expect("always serves");
+            assert_eq!(contracts.len(), n);
+            for (a, (id, tb)) in active.iter().zip(&contracts) {
+                assert_eq!(*id, a.id, "contracts come in active order");
                 assert!((tb.rate() - 1.0 / n as f64).abs() < 1e-12);
                 assert_eq!(tb.burst(), 8.0);
             }
         }
-        assert_eq!(p.capacity(), 1.0);
     }
 
     #[test]
@@ -262,15 +212,16 @@ mod tests {
         let p = WeightedPolicy::new(1.0, 4.0, 0.0);
         let critical = Application::critical(AppId(0), 0, 400); // 0.4
         let mut active = vec![critical];
-        let solo = p.contract(&critical, &active).expect("fits");
-        assert_eq!(solo.rate(), 0.4);
+        let solo = p.contracts(&active).expect("fits");
+        assert_eq!(solo[0].1.rate(), 0.4);
         // Add best-effort apps: critical keeps 0.4, they split 0.6.
         for n in 1..=6u32 {
             active.push(be(n));
-            let c = p.contract(&critical, &active).expect("fits");
-            assert_eq!(c.rate(), 0.4, "critical rate must not degrade");
-            let b = p.contract(&active[1], &active).expect("fits");
-            assert!((b.rate() - 0.6 / n as f64).abs() < 1e-12);
+            let contracts = p.contracts(&active).expect("fits");
+            assert_eq!(contracts[0].1.rate(), 0.4, "critical rate must not degrade");
+            for (_, b) in &contracts[1..] {
+                assert!((b.rate() - 0.6 / n as f64).abs() < 1e-12);
+            }
         }
     }
 
@@ -279,8 +230,7 @@ mod tests {
         let p = WeightedPolicy::new(1.0, 4.0, 0.0);
         let a = Application::critical(AppId(0), 0, 600);
         let b = Application::critical(AppId(1), 1, 600);
-        let active = vec![a, b];
-        assert!(p.contract(&a, &active).is_none(), "1.2 > 1.0 capacity");
+        assert!(p.contracts(&[a, b]).is_none(), "1.2 > 1.0 capacity");
     }
 
     #[test]
@@ -288,9 +238,12 @@ mod tests {
         let p = WeightedPolicy::new(1.0, 4.0, 0.05);
         let c = Application::critical(AppId(0), 0, 1000); // eats everything
         let b0 = be(1);
-        let active = vec![c, b0];
-        let tb = p.contract(&b0, &active).expect("fits");
-        assert_eq!(tb.rate(), 0.05, "floor applies");
+        let contracts = p.contracts(&[c, b0]).expect("fits");
+        assert_eq!(
+            contracts[1],
+            (b0.id, TokenBucket::new(4.0, 0.05)),
+            "floor applies"
+        );
     }
 
     #[test]
@@ -318,45 +271,6 @@ mod tests {
         for w in be_rates.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }
-    }
-
-    #[test]
-    fn batch_contracts_match_per_app_contract() {
-        // The O(n) overrides must be observationally identical to the
-        // per-app path, including infeasibility.
-        let apps: Vec<_> = std::iter::once(Application::critical(AppId(0), 0, 300))
-            .chain((1..7).map(be))
-            .collect();
-        for p in [
-            WeightedPolicy::new(1.0, 4.0, 0.0),
-            WeightedPolicy::new(1.0, 4.0, 0.05),
-        ] {
-            for n in 1..=apps.len() {
-                let active = &apps[..n];
-                let batch = p.contracts(active).expect("feasible");
-                assert_eq!(batch.len(), n);
-                for (i, a) in active.iter().enumerate() {
-                    let single = p.contract(a, active).expect("feasible");
-                    assert_eq!(batch[i].0, a.id);
-                    assert_eq!(batch[i].1.rate(), single.rate());
-                    assert_eq!(batch[i].1.burst(), single.burst());
-                }
-            }
-        }
-        let sym = SymmetricPolicy::new(0.8, 2.0);
-        let batch = sym.contracts(&apps).expect("always serves");
-        for (i, a) in apps.iter().enumerate() {
-            let single = sym.contract(a, &apps).expect("always serves");
-            assert_eq!(batch[i], (a.id, single));
-        }
-        // Infeasible guarantee set: both paths refuse.
-        let heavy = vec![
-            Application::critical(AppId(0), 0, 600),
-            Application::critical(AppId(1), 1, 600),
-        ];
-        let w = WeightedPolicy::new(1.0, 4.0, 0.0);
-        assert!(w.contracts(&heavy).is_none());
-        assert!(w.contract(&heavy[0], &heavy).is_none());
     }
 
     #[test]

@@ -7,23 +7,26 @@
 //! sends every active client a `stopMsg`, then a `confMsg` carrying the
 //! new mode and rate, after which clients unblock.
 //!
-//! Two APIs coexist:
+//! Two APIs coexist, and both decide an activation through one
+//! feasibility check:
 //!
 //! * the **instantaneous** API ([`request_admission`], [`terminate`]) used
 //!   when the control plane is ideal — messages are only logged, never
-//!   lost, and rounds complete atomically;
-//! * the **message-driven** API ([`receive`], [`poll`]) used under fault
-//!   injection: every message travels in a sequence-numbered `Envelope`,
-//!   `confMsg`s are retransmitted with bounded backoff until acknowledged,
-//!   a heartbeat-driven [watchdog](WatchdogConfig) reclaims the bandwidth
-//!   of dead or hung clients via a forced mode transition, flapping
-//!   clients are quarantined, and an unreachable client mid-transition
-//!   degrades the RM into **safe mode** (previous rates retained, new
-//!   admissions refused) instead of deadlocking the platform.
+//!   lost, rounds complete atomically, and each call returns its round's
+//!   rates;
+//! * the **message-driven** API ([`receive_batch`], [`poll`]) used under
+//!   fault injection: every message travels in a sequence-numbered
+//!   `Envelope`, `confMsg`s are retransmitted with bounded backoff until
+//!   acknowledged, a heartbeat-driven [watchdog](WatchdogConfig) reclaims
+//!   the bandwidth of dead or hung clients via a forced mode transition,
+//!   flapping clients are quarantined, and an unreachable client
+//!   mid-transition degrades the RM into **safe mode** (previous rates
+//!   retained, new admissions refused) instead of deadlocking the
+//!   platform. A batch of one envelope is the per-message protocol.
 //!
 //! [`request_admission`]: ResourceManager::request_admission
 //! [`terminate`]: ResourceManager::terminate
-//! [`receive`]: ResourceManager::receive
+//! [`receive_batch`]: ResourceManager::receive_batch
 //! [`poll`]: ResourceManager::poll
 //!
 //! At fleet scale a single RM is a wall; the [`cluster`] and [`root`]
@@ -37,6 +40,7 @@ pub mod root;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
+use autoplat_netcalc::TokenBucket;
 use autoplat_sim::hash::{FxHashMap, FxHashSet};
 use autoplat_sim::{SimDuration, SimTime};
 
@@ -123,7 +127,7 @@ pub struct AdmissionOutcome {
     pub mode: SystemMode,
     /// The rates (items/cycle) assigned to every active application after
     /// the transition, including the new one when admitted.
-    pub rates: Vec<(AppId, autoplat_netcalc::TokenBucket)>,
+    pub rates: Vec<(AppId, TokenBucket)>,
 }
 
 /// The Resource Manager.
@@ -218,7 +222,7 @@ pub struct ResourceManager<P> {
     /// fleet scale).
     logging: bool,
     /// When set, activations skip the policy feasibility check (and its
-    /// O(active) candidate clone): an upstream arbiter — the root of the
+    /// O(active) contract round): an upstream arbiter — the root of the
     /// hierarchy — has already guaranteed the set is feasible. Quarantine,
     /// safe-mode and registration gates still apply.
     preapproved: bool,
@@ -373,9 +377,7 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// unchanged.
     pub fn request_admission(&mut self, app: Application, now: SimTime) -> AdmissionOutcome {
         self.log_msg(now, ControlMessage::Activation { app: app.id });
-        let mut candidate = self.active.clone();
-        candidate.push(app);
-        match self.compute_rates(&candidate) {
+        match self.contracts_with(app) {
             Some(rates) => {
                 self.activate(app);
                 self.mode_changes += 1;
@@ -390,7 +392,7 @@ impl<P: RatePolicy> ResourceManager<P> {
             None => {
                 self.rejections += 1;
                 let mode = self.mode();
-                let rates = self.compute_rates(&self.active.clone()).unwrap_or_default();
+                let rates = self.policy.contracts(&self.active).unwrap_or_default();
                 AdmissionOutcome {
                     admitted: false,
                     mode,
@@ -400,26 +402,34 @@ impl<P: RatePolicy> ResourceManager<P> {
         }
     }
 
-    /// Processes a `terMsg`: removes `app` and reconfigures the rest.
+    /// Processes a `terMsg`: removes `app`, reconfigures the rest and
+    /// returns the rates of that round, in active order.
     ///
-    /// Unknown applications are ignored (idempotent termination).
-    pub fn terminate(&mut self, app: AppId, now: SimTime) {
+    /// Unknown applications are ignored (idempotent termination): no round
+    /// runs and the result is empty.
+    pub fn terminate(&mut self, app: AppId, now: SimTime) -> Vec<(AppId, TokenBucket)> {
         self.log_msg(now, ControlMessage::Termination { app });
-        if self.deactivate(app) {
-            self.mode_changes += 1;
-            self.departures.push(app);
-            let mode = self.mode();
-            if let Some(rates) = self.compute_rates(&self.active.clone()) {
-                self.reconfigure(now, &rates, mode);
-            }
+        if !self.deactivate(app) {
+            return Vec::new();
         }
+        self.mode_changes += 1;
+        self.departures.push(app);
+        let mode = self.mode();
+        let Some(rates) = self.policy.contracts(&self.active) else {
+            return Vec::new();
+        };
+        self.reconfigure(now, &rates, mode);
+        rates
     }
 
-    fn compute_rates(
-        &self,
-        active: &[Application],
-    ) -> Option<Vec<(AppId, autoplat_netcalc::TokenBucket)>> {
-        self.policy.contracts(active)
+    /// The admission feasibility check: the policy's contracts for the
+    /// active set with `app` appended, or `None` when it cannot serve
+    /// that set. The active set is unchanged on return.
+    fn contracts_with(&mut self, app: Application) -> Option<Vec<(AppId, TokenBucket)>> {
+        self.active.push(app);
+        let rates = self.policy.contracts(&self.active);
+        self.active.pop();
+        rates
     }
 
     fn log_msg(&mut self, at: SimTime, message: ControlMessage) {
@@ -496,12 +506,7 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// active client receives a `stopMsg` and a `confMsg`; the round's
     /// duration is two message latencies (stop fan-out, config fan-out),
     /// during which senders are blocked.
-    fn reconfigure(
-        &mut self,
-        now: SimTime,
-        rates: &[(AppId, autoplat_netcalc::TokenBucket)],
-        mode: SystemMode,
-    ) {
+    fn reconfigure(&mut self, now: SimTime, rates: &[(AppId, TokenBucket)], mode: SystemMode) {
         for (app, _) in rates {
             self.log_msg(now, ControlMessage::Stop { app: *app });
         }
@@ -606,7 +611,8 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// told about (newly admitted clients always have).
     fn reconfigure_envelopes(&mut self, now_cycle: u64) -> Vec<Envelope> {
         let rates = self
-            .compute_rates(&self.active.clone())
+            .policy
+            .contracts(&self.active)
             .expect("active set was admitted, so rates exist");
         let mode = self.mode();
         let now = SimTime::from_ns(now_cycle as f64);
@@ -645,51 +651,6 @@ impl<P: RatePolicy> ResourceManager<P> {
         out
     }
 
-    /// Handles a delivered envelope idempotently, returning the envelopes
-    /// to send in response (acks, stop/config rounds, refusals).
-    pub fn receive(&mut self, envelope: Envelope, now_cycle: u64) -> Vec<Envelope> {
-        let app = envelope.message.app();
-        // Any message is proof of life for the watchdog.
-        self.heard_from(app, now_cycle);
-        let fresh = self.rx.accept(envelope.from, envelope.seq);
-        if !fresh {
-            return self.respond_to_duplicate(envelope, now_cycle);
-        }
-        match envelope.message {
-            ControlMessage::Activation { app } => self.receive_activation(app, now_cycle),
-            ControlMessage::Termination { app } => {
-                let ack = self.envelope_to(
-                    app,
-                    now_cycle,
-                    ControlMessage::Ack {
-                        app,
-                        of_seq: envelope.seq,
-                    },
-                );
-                let mut out = vec![ack];
-                out.extend(self.receive_termination(app, now_cycle));
-                out
-            }
-            ControlMessage::Heartbeat { .. } => Vec::new(),
-            ControlMessage::Ack { app, of_seq } => {
-                // Only the ack of the *current* pending conf clears it;
-                // a stale ack of a superseded round keeps retransmitting.
-                if self
-                    .pending_confs
-                    .get(&app)
-                    .is_some_and(|p| p.envelope.seq == of_seq)
-                {
-                    self.clear_pending_conf(app);
-                }
-                Vec::new()
-            }
-            // RM-originated kinds arriving here are protocol noise.
-            ControlMessage::Stop { .. }
-            | ControlMessage::Config { .. }
-            | ControlMessage::Refusal { .. } => Vec::new(),
-        }
-    }
-
     /// A duplicated delivery re-elicits the current decision: the previous
     /// response may itself have been lost.
     fn respond_to_duplicate(&mut self, envelope: Envelope, now_cycle: u64) -> Vec<Envelope> {
@@ -722,59 +683,6 @@ impl<P: RatePolicy> ResourceManager<P> {
             }
             _ => Vec::new(),
         }
-    }
-
-    fn receive_activation(&mut self, app: AppId, now_cycle: u64) -> Vec<Envelope> {
-        let now = SimTime::from_ns(now_cycle as f64);
-        self.log_msg(now, ControlMessage::Activation { app });
-        if self.is_active(app) {
-            // Already active (e.g. re-activation racing a reclamation):
-            // just re-confirm.
-            return self.respond_to_duplicate(
-                Envelope {
-                    from: Endpoint::Client(app),
-                    to: Endpoint::Rm,
-                    seq: 0,
-                    sent_at_cycle: now_cycle,
-                    message: ControlMessage::Activation { app },
-                },
-                now_cycle,
-            );
-        }
-        let refusal = |rm: &mut Self| {
-            rm.rejections += 1;
-            vec![rm.envelope_to(app, now_cycle, ControlMessage::Refusal { app })]
-        };
-        if self.check_admissible(app, now_cycle).is_err() {
-            return refusal(self);
-        }
-        self.quarantined.remove(&app); // cooldown served
-        let Some(&application) = self.known.get(&app) else {
-            return refusal(self);
-        };
-        if !self.preapproved {
-            let mut candidate = self.active.clone();
-            candidate.push(application);
-            if self.compute_rates(&candidate).is_none() {
-                return refusal(self);
-            }
-        }
-        self.activate(application);
-        self.mode_changes += 1;
-        self.touch(app, now_cycle);
-        self.reconfigure_envelopes(now_cycle)
-    }
-
-    fn receive_termination(&mut self, app: AppId, now_cycle: u64) -> Vec<Envelope> {
-        let now = SimTime::from_ns(now_cycle as f64);
-        self.log_msg(now, ControlMessage::Termination { app });
-        if !self.deactivate(app) {
-            return Vec::new();
-        }
-        self.mode_changes += 1;
-        self.departures.push(app);
-        self.release(app);
-        self.reconfigure_envelopes(now_cycle)
     }
 
     /// Drops every per-client obligation towards `app` after it leaves
@@ -893,22 +801,27 @@ impl<P: RatePolicy> ResourceManager<P> {
         self.reconfigure_envelopes(now_cycle)
     }
 
-    /// Handles a kernel step's worth of delivered envelopes as one batch:
-    /// per-envelope effects (acks, dedup, heartbeats, membership changes)
+    /// Handles delivered envelopes idempotently, returning the envelopes
+    /// to send in response (acks, stop/config rounds, refusals): the RM's
+    /// one entry point for client messages.
+    ///
+    /// Per-envelope effects (acks, dedup, heartbeats, membership changes)
     /// are applied in delivery order, but at most **one** mode transition
     /// and stop/conf round is emitted for the whole batch instead of one
     /// per membership change. This is what makes a cluster RM's per-step
     /// work O(batch + round) rather than O(batch × active).
     ///
-    /// Semantically equivalent to calling [`receive`](Self::receive) per
-    /// envelope when the batch contains at most one membership change;
-    /// with several, intermediate rounds (which the coalesced bundle
-    /// protocol would supersede within the same step anyway) are elided.
+    /// A batch of one envelope is the per-message protocol of §V: an
+    /// admitted `actMsg` or a `terMsg` of an active client triggers its
+    /// own round. With several membership changes in one batch, the
+    /// intermediate rounds (which the coalesced bundle protocol would
+    /// supersede within the same step anyway) are elided.
     pub fn receive_batch(&mut self, envelopes: &[Envelope], now_cycle: u64) -> Vec<Envelope> {
         let now = SimTime::from_ns(now_cycle as f64);
         let mut out = Vec::new();
         let mut dirty = false;
         for envelope in envelopes {
+            // Any message is proof of life for the watchdog.
             self.heard_from(envelope.message.app(), now_cycle);
             if !self.rx.accept(envelope.from, envelope.seq) {
                 out.extend(self.respond_to_duplicate(*envelope, now_cycle));
@@ -918,6 +831,8 @@ impl<P: RatePolicy> ResourceManager<P> {
                 ControlMessage::Activation { app } => {
                     self.log_msg(now, ControlMessage::Activation { app });
                     if self.is_active(app) {
+                        // Already active (e.g. re-activation racing a
+                        // reclamation): just re-confirm.
                         out.extend(self.respond_to_duplicate(*envelope, now_cycle));
                         continue;
                     }
@@ -925,18 +840,14 @@ impl<P: RatePolicy> ResourceManager<P> {
                         out.push(self.refuse(app, now_cycle));
                         continue;
                     }
-                    self.quarantined.remove(&app);
+                    self.quarantined.remove(&app); // cooldown served
                     let Some(&application) = self.known.get(&app) else {
                         out.push(self.refuse(app, now_cycle));
                         continue;
                     };
-                    if !self.preapproved {
-                        let mut candidate = self.active.clone();
-                        candidate.push(application);
-                        if self.compute_rates(&candidate).is_none() {
-                            out.push(self.refuse(app, now_cycle));
-                            continue;
-                        }
+                    if !self.preapproved && self.contracts_with(application).is_none() {
+                        out.push(self.refuse(app, now_cycle));
+                        continue;
                     }
                     self.activate(application);
                     self.mode_changes += 1;
@@ -962,6 +873,8 @@ impl<P: RatePolicy> ResourceManager<P> {
                 }
                 ControlMessage::Heartbeat { .. } => {}
                 ControlMessage::Ack { app, of_seq } => {
+                    // Only the ack of the *current* pending conf clears it;
+                    // a stale ack of a superseded round keeps retransmitting.
                     if self
                         .pending_confs
                         .get(&app)
@@ -970,6 +883,7 @@ impl<P: RatePolicy> ResourceManager<P> {
                         self.clear_pending_conf(app);
                     }
                 }
+                // RM-originated kinds arriving here are protocol noise.
                 ControlMessage::Stop { .. }
                 | ControlMessage::Config { .. }
                 | ControlMessage::Refusal { .. } => {}
@@ -1029,10 +943,11 @@ mod tests {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0);
         let _ = rm.request_admission(be(0), SimTime::ZERO);
         let _ = rm.request_admission(be(1), SimTime::ZERO);
-        rm.terminate(AppId(1), SimTime::from_ns(5000.0));
+        let rates = rm.terminate(AppId(1), SimTime::from_ns(5000.0));
         assert_eq!(rm.mode(), SystemMode(1));
-        // Unknown termination is idempotent.
-        rm.terminate(AppId(9), SimTime::from_ns(6000.0));
+        assert_eq!(rates, vec![(AppId(0), TokenBucket::new(8.0, 1.0))]);
+        // Unknown termination is idempotent: no round, no rates.
+        assert!(rm.terminate(AppId(9), SimTime::from_ns(6000.0)).is_empty());
         assert_eq!(rm.mode(), SystemMode(1));
         assert_eq!(rm.mode_changes(), 3);
     }
@@ -1141,7 +1056,7 @@ mod tests {
                 let app = e.message.app();
                 let ack = client_ack(app.0, ack_seq, e.seq, at);
                 ack_seq += 1;
-                let _ = rm.receive(ack, at);
+                let _ = rm.receive_batch(&[ack], at);
             }
         }
     }
@@ -1149,7 +1064,7 @@ mod tests {
     #[test]
     fn message_driven_admission_emits_stop_conf_round() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 10), 10);
+        let out = rm.receive_batch(&[act(0, 0, 10)], 10);
         assert_eq!(
             out.iter().filter(|e| e.message.name() == "stopMsg").count(),
             1
@@ -1160,7 +1075,7 @@ mod tests {
         );
         assert_eq!(rm.mode(), SystemMode(1));
         // Second app: round covers both clients.
-        let out = rm.receive(act(1, 0, 20), 20);
+        let out = rm.receive_batch(&[act(1, 0, 20)], 20);
         assert_eq!(
             out.iter().filter(|e| e.message.name() == "confMsg").count(),
             2
@@ -1171,9 +1086,9 @@ mod tests {
     #[test]
     fn duplicate_activation_resends_conf_without_readmission() {
         let mut rm = ft_rm();
-        let _ = rm.receive(act(0, 0, 10), 10);
+        let _ = rm.receive_batch(&[act(0, 0, 10)], 10);
         let changes = rm.mode_changes();
-        let out = rm.receive(act(0, 0, 300), 300); // retransmitted actMsg
+        let out = rm.receive_batch(&[act(0, 0, 300)], 300); // retransmitted actMsg
         assert_eq!(rm.mode_changes(), changes, "no second transition");
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].message.name(), "confMsg");
@@ -1183,7 +1098,7 @@ mod tests {
     #[test]
     fn unknown_app_is_refused() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(9, 0, 10), 10);
+        let out = rm.receive_batch(&[act(9, 0, 10)], 10);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].message.name(), "rejMsg");
         assert_eq!(rm.rejections(), 1);
@@ -1193,7 +1108,7 @@ mod tests {
     #[test]
     fn conf_retransmits_then_enters_safe_mode() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         let conf = out.iter().find(|e| e.message.name() == "confMsg").unwrap();
         let first_deadline = rm.next_deadline().expect("conf pending");
         assert_eq!(first_deadline, 100);
@@ -1212,7 +1127,7 @@ mod tests {
             rm.check_admissible(AppId(1), next),
             Err(AdmissionError::SafeMode)
         );
-        let out = rm.receive(act(1, 0, next + 1), next + 1);
+        let out = rm.receive_batch(&[act(1, 0, next + 1)], next + 1);
         assert_eq!(out[0].message.name(), "rejMsg");
         assert_eq!(rm.mode(), SystemMode(1), "previous allocation retained");
         // The ack that finally clears things: watchdog reclaims the dead
@@ -1228,9 +1143,9 @@ mod tests {
     #[test]
     fn watchdog_reclaims_silent_client_and_redistributes() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         settle_confs(&mut rm, &out, 1);
-        let out = rm.receive(act(1, 0, 5), 5);
+        let out = rm.receive_batch(&[act(1, 0, 5)], 5);
         settle_confs(&mut rm, &out, 6);
         assert_eq!(rm.mode(), SystemMode(2));
         // App 0 heartbeats; app 1 goes silent.
@@ -1241,7 +1156,7 @@ mod tests {
             sent_at_cycle: 800,
             message: ControlMessage::Heartbeat { app: AppId(0) },
         };
-        let _ = rm.receive(hb, 800);
+        let _ = rm.receive_batch(&[hb], 800);
         // At cycle 1010 app 1 (last heard when acking its conf at cycle 6)
         // is past the 1000-cycle timeout; app 0 (heard at 800) is not.
         let out = rm.poll(1_010);
@@ -1263,21 +1178,21 @@ mod tests {
         // Two reclamations of app 0 trip the threshold of 2.
         for round in 0..2u64 {
             let at = round * 3_000;
-            let out = rm.receive(act(0, round * 10, at), at);
+            let out = rm.receive_batch(&[act(0, round * 10, at)], at);
             settle_confs(&mut rm, &out, at + 1);
             let _ = rm.poll(at + 1_001 + 1); // silent past the timeout
         }
         assert_eq!(rm.reclamations(), 2);
         let until = rm.quarantined_until(AppId(0)).expect("quarantined");
         // Refused while quarantined.
-        let out = rm.receive(act(0, 100, until - 1), until - 1);
+        let out = rm.receive_batch(&[act(0, 100, until - 1)], until - 1);
         assert_eq!(out[0].message.name(), "rejMsg");
         assert!(matches!(
             rm.check_admissible(AppId(0), until - 1),
             Err(AdmissionError::Quarantined { .. })
         ));
         // Served again once the cooldown expires.
-        let out = rm.receive(act(0, 101, until), until);
+        let out = rm.receive_batch(&[act(0, 101, until)], until);
         assert!(out.iter().any(|e| e.message.name() == "confMsg"));
         assert_eq!(rm.mode(), SystemMode(1));
     }
@@ -1285,9 +1200,9 @@ mod tests {
     #[test]
     fn acked_conf_stops_retransmitting() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         let conf = out.iter().find(|e| e.message.name() == "confMsg").unwrap();
-        let _ = rm.receive(client_ack(0, 1, conf.seq, 50), 50);
+        let _ = rm.receive_batch(&[client_ack(0, 1, conf.seq, 50)], 50);
         // Only the watchdog deadline remains.
         assert_eq!(rm.next_deadline(), Some(50 + 1_000));
         assert!(rm.poll(500).is_empty());
@@ -1300,7 +1215,7 @@ mod tests {
         // Admit in descending id order so insertion order differs from
         // id order; none of the confs is ever acked.
         for (i, app) in [3u32, 1, 2, 0].iter().enumerate() {
-            let _ = rm.receive(act(*app, 0, i as u64), i as u64);
+            let _ = rm.receive_batch(&[act(*app, 0, i as u64)], i as u64);
         }
         assert_eq!(rm.pending_conf_count(), 4);
         let out = rm.poll(500);
@@ -1315,11 +1230,11 @@ mod tests {
     #[test]
     fn stale_ack_of_superseded_conf_keeps_current_pending() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         let old_conf = out.iter().find(|e| e.message.name() == "confMsg").unwrap();
         let old_seq = old_conf.seq;
         // A second admission supersedes app 0's pending conf.
-        let out = rm.receive(act(1, 0, 10), 10);
+        let out = rm.receive_batch(&[act(1, 0, 10)], 10);
         let new_seq = out
             .iter()
             .find(|e| e.message.name() == "confMsg" && e.message.app() == AppId(0))
@@ -1327,19 +1242,19 @@ mod tests {
             .seq;
         assert_ne!(old_seq, new_seq);
         // The stale ack must not clear the superseding conf.
-        let _ = rm.receive(client_ack(0, 100, old_seq, 20), 20);
+        let _ = rm.receive_batch(&[client_ack(0, 100, old_seq, 20)], 20);
         assert_eq!(rm.pending_conf_count(), 2);
         // The current ack does.
-        let _ = rm.receive(client_ack(0, 101, new_seq, 30), 30);
+        let _ = rm.receive_batch(&[client_ack(0, 101, new_seq, 30)], 30);
         assert_eq!(rm.pending_conf_count(), 1);
     }
 
     #[test]
     fn active_index_stays_in_sync_across_lifecycle() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         settle_confs(&mut rm, &out, 1);
-        let out = rm.receive(act(1, 0, 5), 5);
+        let out = rm.receive_batch(&[act(1, 0, 5)], 5);
         settle_confs(&mut rm, &out, 6);
         assert_eq!(rm.active().len(), 2);
         // Instantaneous termination and watchdog reclamation both go
@@ -1350,7 +1265,7 @@ mod tests {
         assert_eq!(rm.reclamations(), 1);
         assert!(rm.active().is_empty());
         // Re-admission after removal works (the index forgot the id).
-        let out = rm.receive(act(0, 10, 6_000), 6_000);
+        let out = rm.receive_batch(&[act(0, 10, 6_000)], 6_000);
         assert!(out.iter().any(|e| e.message.name() == "confMsg"));
         assert_eq!(rm.mode(), SystemMode(1));
     }
@@ -1373,30 +1288,10 @@ mod tests {
         // The final rates match per-envelope processing.
         let mut serial = ft_rm();
         for n in 0..4u32 {
-            let _ = serial.receive(act(n, 0, 10), 10);
+            let _ = serial.receive_batch(&[act(n, 0, 10)], 10);
         }
         assert_eq!(serial.mode(), batched.mode());
         assert_eq!(serial.last_rates, batched.last_rates);
-    }
-
-    #[test]
-    fn receive_batch_matches_receive_for_single_messages() {
-        let mut a = ft_rm();
-        let mut b = ft_rm();
-        for (i, app) in [2u32, 0, 3].iter().enumerate() {
-            let out_a = a.receive(act(*app, 0, i as u64), i as u64);
-            let out_b = b.receive_batch(&[act(*app, 0, i as u64)], i as u64);
-            assert_eq!(out_a, out_b, "singleton batches are exactly receive()");
-        }
-        // Duplicate and refusal paths agree too.
-        assert_eq!(
-            a.receive(act(2, 0, 50), 50),
-            b.receive_batch(&[act(2, 0, 50)], 50)
-        );
-        assert_eq!(
-            a.receive(act(9, 0, 60), 60),
-            b.receive_batch(&[act(9, 0, 60)], 60)
-        );
     }
 
     #[test]
@@ -1409,14 +1304,14 @@ mod tests {
             .with_delta_confs(true);
         rm.register(Application::critical(AppId(0), 0, 200));
         rm.register(Application::critical(AppId(1), 1, 300));
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         assert_eq!(
             out.iter().filter(|e| e.message.name() == "confMsg").count(),
             1
         );
         // Admitting app 1 leaves app 0's guaranteed 0.2 unchanged: only
         // the newcomer is confirmed.
-        let out = rm.receive(act(1, 0, 10), 10);
+        let out = rm.receive_batch(&[act(1, 0, 10)], 10);
         let confs: Vec<AppId> = out
             .iter()
             .filter(|e| e.message.name() == "confMsg")
@@ -1433,9 +1328,9 @@ mod tests {
     #[test]
     fn departures_are_drained_once() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 0), 0);
+        let out = rm.receive_batch(&[act(0, 0, 0)], 0);
         settle_confs(&mut rm, &out, 1);
-        let out = rm.receive(act(1, 0, 5), 5);
+        let out = rm.receive_batch(&[act(1, 0, 5)], 5);
         settle_confs(&mut rm, &out, 6);
         assert!(rm.take_departures().is_empty());
         rm.terminate(AppId(0), SimTime::from_ns(100.0));
@@ -1448,7 +1343,7 @@ mod tests {
     fn indices_stay_consistent_with_maps() {
         let mut rm = ft_rm();
         for n in 0..4u32 {
-            let _ = rm.receive(act(n, 0, n as u64), n as u64);
+            let _ = rm.receive_batch(&[act(n, 0, n as u64)], n as u64);
         }
         let _ = rm.poll(500); // retransmit sweep reindexes retries
         rm.terminate(AppId(2), SimTime::from_ns(600.0));
@@ -1491,7 +1386,7 @@ mod tests {
         settle_confs(&mut rm, &out, 0);
         // App 1 is heard again at 900: its cycle-0 entry goes stale, but
         // app 0's cycle-0 entry stays on top.
-        let _ = rm.receive(heartbeat(1, 900), 900);
+        let _ = rm.receive_batch(&[heartbeat(1, 900)], 900);
         assert_heartbeat_index_invariant(&rm);
         assert_eq!(rm.next_deadline(), Some(1_000));
         // The sweep at 1000 reclaims app 0 only and pops app 1's stale
@@ -1507,13 +1402,13 @@ mod tests {
     #[test]
     fn touch_back_in_time_reclaims_once() {
         let mut rm = ft_rm();
-        let out = rm.receive(act(0, 0, 500), 500);
+        let out = rm.receive_batch(&[act(0, 0, 500)], 500);
         settle_confs(&mut rm, &out, 500);
         // Heard at 500, then at 300 (a cycle that went backwards), then at
         // 500 again: two live entries for the same heard cycle.
-        let _ = rm.receive(heartbeat(0, 300), 300);
+        let _ = rm.receive_batch(&[heartbeat(0, 300)], 300);
         assert_eq!(rm.next_deadline(), Some(1_300));
-        let _ = rm.receive(heartbeat(0, 500), 500);
+        let _ = rm.receive_batch(&[heartbeat(0, 500)], 500);
         assert_heartbeat_index_invariant(&rm);
         assert_eq!(rm.next_deadline(), Some(1_500));
         let out = rm.poll(1_500);
@@ -1527,7 +1422,7 @@ mod tests {
     fn logging_off_keeps_counters_but_not_records() {
         let mut rm = ft_rm();
         rm.set_logging(false);
-        let _ = rm.receive(act(0, 0, 10), 10);
+        let _ = rm.receive_batch(&[act(0, 0, 10)], 10);
         assert_eq!(rm.log().count("actMsg"), 0, "no records when disabled");
         assert_eq!(rm.mode(), SystemMode(1), "behaviour unchanged");
         assert_eq!(rm.mode_changes(), 1);

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use autoplat_noc::{Mesh, NocConfig, NocSim, NodeId, Packet};
 use autoplat_sim::engine::{EventSink, Process};
 use autoplat_sim::metrics::MetricsRegistry;
-use autoplat_sim::{ClientFault, Engine, FaultPlan, SimTime};
+use autoplat_sim::{Engine, FaultPlan, SimTime};
 
 use crate::app::{AppId, Application};
 use crate::client::{Client, Liveness, RetryPolicy, TransmitDecision};
@@ -454,7 +454,7 @@ impl<P: RatePolicy> Scenario<P> {
             if due {
                 let (cycle, event) = self.events.pop().expect("checked above");
                 let at = SimTime::from_ns(cycle as f64);
-                match event {
+                let round = match event {
                     ScenarioEvent::Activate(app) => {
                         let mut client = Client::new(app.id, app.node);
                         // The first transmission is trapped -> actMsg.
@@ -463,39 +463,30 @@ impl<P: RatePolicy> Scenario<P> {
                         if outcome.admitted {
                             apps.insert(app.id, app);
                             clients.insert(app.id, client);
-                            // stopMsg + confMsg round for everyone.
-                            for (id, contract) in &outcome.rates {
-                                if let Some(c) = clients.get_mut(id) {
-                                    c.on_stop();
-                                    c.on_config(
-                                        cycle,
-                                        contract.scale(self.flits_per_packet as f64),
-                                    );
-                                }
-                            }
+                            outcome.rates
                         } else {
                             rejected.push(app.id);
+                            Vec::new()
                         }
                     }
-                    ScenarioEvent::Terminate(id) => {
-                        if let Some(mut client) = clients.remove(&id) {
+                    ScenarioEvent::Terminate(id) => match clients.remove(&id) {
+                        Some(mut client) => {
                             client.on_terminate();
                             apps.remove(&id);
-                            rm.terminate(id, at);
-                            // Reconfigure the survivors.
-                            let active = rm.active().to_vec();
-                            for app in &active {
-                                if let Some(tb) = rm_contract(&rm, app, &active) {
-                                    if let Some(c) = clients.get_mut(&app.id) {
-                                        c.on_stop();
-                                        c.on_config(cycle, tb.scale(self.flits_per_packet as f64));
-                                    }
-                                }
-                            }
+                            rm.terminate(id, at)
                         }
-                    }
+                        None => Vec::new(),
+                    },
                     // Unreachable: any Crash/Hang event routes to run_lossy.
                     ScenarioEvent::Crash(_) | ScenarioEvent::Hang(..) => unreachable!(),
+                };
+                // The transition's stopMsg + confMsg round for every
+                // active client.
+                for (id, contract) in &round {
+                    if let Some(c) = clients.get_mut(id) {
+                        c.on_stop();
+                        c.on_config(cycle, contract.scale(self.flits_per_packet as f64));
+                    }
                 }
             }
         }
@@ -614,8 +605,8 @@ impl<P: RatePolicy> Scenario<P> {
                         )?;
                         // The conf carries only the rate; the burst is the
                         // policy's, which is mode-independent.
-                        if let Some(tb) = rm.policy().contract(&app, std::slice::from_ref(&app)) {
-                            client.set_conf_burst(tb.burst());
+                        if let Some(contracts) = rm.policy().contracts(std::slice::from_ref(&app)) {
+                            client.set_conf_burst(contracts[0].1.burst());
                         }
                         // The first transmission is trapped -> actMsg.
                         let _ = client.request_transmit(cycle, 1.0);
@@ -791,12 +782,9 @@ fn process_control<P: RatePolicy>(
             let Some(app) = node_owner.get(&fault.node()) else {
                 continue; // fault targets a node no client occupies
             };
-            let Some(client) = clients.get_mut(app) else {
-                continue;
-            };
-            match fault {
-                ClientFault::Crash { .. } => client.crash(),
-                ClientFault::Hang { for_cycles, .. } => client.hang(now + for_cycles),
+            // Every scripted client fault is a crash.
+            if let Some(client) = clients.get_mut(app) {
+                client.crash();
             }
         }
         // Consecutive RM-bound envelopes coalesce into one batch — a
@@ -868,16 +856,6 @@ fn track_reconvergence<P: RatePolicy>(
     } else {
         *reconverged_at = None;
     }
-}
-
-/// The contract of `app` under the RM's policy for the given active set
-/// (policies are pure functions of the active set).
-fn rm_contract<P: RatePolicy>(
-    rm: &ResourceManager<P>,
-    app: &Application,
-    active: &[Application],
-) -> Option<autoplat_netcalc::TokenBucket> {
-    rm.policy().contract(app, active)
 }
 
 #[cfg(test)]

@@ -327,7 +327,10 @@ impl<P: RatePolicy> Trace<P> {
         let (label, out) = match self.rng.below(14) {
             0..=4 => {
                 let (kind, envelope) = self.random_envelope();
-                (kind.to_string(), self.rm.receive(envelope, now))
+                (
+                    kind.to_string(),
+                    self.rm.receive_batch(std::slice::from_ref(&envelope), now),
+                )
             }
             5..=7 => {
                 let n = 2 + self.rng.below(4);

@@ -19,9 +19,11 @@ proptest! {
         let policy = SymmetricPolicy::new(capacity, 4.0);
         let active: Vec<Application> =
             (0..n as u32).map(|i| Application::best_effort(AppId(i), i)).collect();
-        let total: f64 = active
+        let total: f64 = policy
+            .contracts(&active)
+            .expect("symmetric")
             .iter()
-            .map(|a| policy.contract(a, &active).expect("symmetric").rate())
+            .map(|(_, tb)| tb.rate())
             .sum();
         prop_assert!((total - capacity).abs() < 1e-9);
     }
@@ -46,14 +48,12 @@ proptest! {
         if active.is_empty() {
             return Ok(());
         }
-        let contracts: Option<Vec<TokenBucket>> =
-            active.iter().map(|a| policy.contract(a, &active)).collect();
-        match contracts {
+        match policy.contracts(&active) {
             Some(cs) => {
-                let total: f64 = cs.iter().map(TokenBucket::rate).sum();
+                let total: f64 = cs.iter().map(|(_, tb)| tb.rate()).sum();
                 prop_assert!(total <= capacity + 1e-9, "{total} > {capacity}");
                 // Critical apps get exactly their guarantee.
-                for (a, c) in active.iter().zip(&cs) {
+                for (a, (_, c)) in active.iter().zip(&cs) {
                     if a.importance.is_critical() {
                         prop_assert!((c.rate() - a.importance.guaranteed_rate()).abs() < 1e-12);
                     }
@@ -93,6 +93,22 @@ proptest! {
             prop_assert_eq!(rm.mode().0, expected.len());
             prop_assert_eq!(rm.active().len(), expected.len());
         }
+    }
+
+    /// After any sequence of admissions and terminations, under either
+    /// policy, the rates each call returns are the policy's contracts for
+    /// the active set the call leaves behind; a termination of an app that
+    /// is not active runs no round and returns none.
+    #[test]
+    fn returned_rates_are_the_policys_contracts_for_the_active_set(
+        ops in proptest::collection::vec((any::<bool>(), 0u32..8, 0u32..600), 1..40),
+        floor_milli in 0u32..3,
+    ) {
+        let symmetric = ResourceManager::new(SymmetricPolicy::new(1.0, 4.0), 50.0);
+        check_returned_rates(symmetric, &ops)?;
+        let floor = f64::from(floor_milli) / 100.0;
+        let weighted = ResourceManager::new(WeightedPolicy::new(1.0, 4.0, floor), 50.0);
+        check_returned_rates(weighted, &ops)?;
     }
 
     #[test]
@@ -277,23 +293,55 @@ proptest! {
                 sent_at_cycle: now,
                 message,
             };
-            let _ = rm.receive(envelope, now);
+            let _ = rm.receive_batch(&[envelope], now);
             let ids: Vec<AppId> = rm.active().iter().map(|a| a.id).collect();
             let unique: std::collections::BTreeSet<AppId> = ids.iter().copied().collect();
             prop_assert_eq!(ids.len(), unique.len(), "double admission");
             let total: f64 = rm
-                .active()
+                .policy()
+                .contracts(rm.active())
+                .expect("symmetric policy always serves")
                 .iter()
-                .map(|a| {
-                    rm.policy()
-                        .contract(a, rm.active())
-                        .expect("symmetric policy always serves")
-                        .rate()
-                })
+                .map(|(_, tb)| tb.rate())
                 .sum();
             prop_assert!(total <= capacity + 1e-9, "overcommitted: {total}");
         }
     }
+}
+
+/// Runs `ops` (admit or terminate app `id`; a `demand` below 300 is best
+/// effort, else critical at `demand - 300` milli) and checks each call's
+/// returned rates against the policy.
+fn check_returned_rates<P: RatePolicy>(
+    mut rm: ResourceManager<P>,
+    ops: &[(bool, u32, u32)],
+) -> TestCaseResult {
+    for (i, &(admit, id, demand)) in ops.iter().enumerate() {
+        let now = SimTime::from_ns(100.0 * i as f64);
+        let active = rm.active().iter().any(|a| a.id == AppId(id));
+        let rates = match (admit, active) {
+            // The instantaneous API leaves duplicates to its caller.
+            (true, true) => continue,
+            (true, false) => {
+                let app = if demand < 300 {
+                    Application::best_effort(AppId(id), id)
+                } else {
+                    Application::critical(AppId(id), id, demand - 300)
+                };
+                rm.request_admission(app, now).rates
+            }
+            (false, active) => {
+                let rates = rm.terminate(AppId(id), now);
+                if !active {
+                    prop_assert!(rates.is_empty(), "no round, yet rates {rates:?}");
+                    continue;
+                }
+                rates
+            }
+        };
+        prop_assert_eq!(Some(rates), rm.policy().contracts(rm.active()));
+    }
+    Ok(())
 }
 
 /// Releases `amount` through an active client, returning the cycle.

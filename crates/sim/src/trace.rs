@@ -16,7 +16,6 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use crate::json::JsonValue;
 use crate::time::SimTime;
 
 /// One timestamped trace record.
@@ -126,76 +125,6 @@ impl Trace {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
-
-    /// Serializes the entries as JSON (the `enabled` flag is skipped: it
-    /// is runtime state, not data), so traces export alongside metrics.
-    ///
-    /// Layout: `[{"at_ps":u64,"source":s,"tag":s,"value":i64|null},...]`.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<JsonValue> = self
-            .entries
-            .iter()
-            .map(|e| {
-                JsonValue::Object(vec![
-                    ("at_ps".into(), JsonValue::UInt(e.at.as_ps())),
-                    ("source".into(), JsonValue::Str(e.source.to_string())),
-                    ("tag".into(), JsonValue::Str(e.tag.to_string())),
-                    (
-                        "value".into(),
-                        match e.value {
-                            Some(v) => JsonValue::Int(v),
-                            None => JsonValue::Null,
-                        },
-                    ),
-                ])
-            })
-            .collect();
-        JsonValue::Array(entries).to_string()
-    }
-
-    /// Rebuilds a trace from [`Trace::to_json`] output. The restored
-    /// trace is **disabled** (the flag is not serialized); call
-    /// [`set_enabled`](Trace::set_enabled) to resume recording.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed entry.
-    pub fn from_json(json: &str) -> Result<Trace, String> {
-        let doc = JsonValue::parse(json)?;
-        let items = doc.as_array().ok_or("trace JSON must be an array")?;
-        let mut entries = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let at_ps = item
-                .get("at_ps")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("entry {i}: missing \"at_ps\""))?;
-            let source = item
-                .get("source")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("entry {i}: missing \"source\""))?;
-            let tag = item
-                .get("tag")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("entry {i}: missing \"tag\""))?;
-            let value = match item.get("value") {
-                None | Some(JsonValue::Null) => None,
-                Some(v) => Some(
-                    v.as_i64()
-                        .ok_or_else(|| format!("entry {i}: \"value\" not an integer"))?,
-                ),
-            };
-            entries.push(TraceEntry {
-                at: SimTime::from_ps(at_ps),
-                source: Cow::Owned(source.to_string()),
-                tag: Cow::Owned(tag.to_string()),
-                value,
-            });
-        }
-        Ok(Trace {
-            enabled: false,
-            entries,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -271,35 +200,5 @@ mod tests {
             ..e
         };
         assert_eq!(e2.to_string(), "[3.000 ns] dram refresh = 4");
-    }
-
-    #[test]
-    fn json_round_trip_preserves_entries() {
-        let mut t = Trace::enabled();
-        t.record(SimTime::from_ns(1.25), "dram", "switch-to-write", Some(55));
-        t.record(SimTime::from_ns(2.5), "noc.router.3", "hop", None);
-        t.record(SimTime::ZERO, "s", "negative", Some(-9));
-        let json = t.to_json();
-        let back = Trace::from_json(&json).expect("round trip");
-        assert_eq!(back.entries(), t.entries());
-        assert!(!back.is_enabled(), "enabled flag is not serialized");
-        // Re-export is byte-identical (no hidden state).
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn empty_trace_round_trips() {
-        let t = Trace::enabled();
-        assert_eq!(t.to_json(), "[]");
-        let back = Trace::from_json("[]").expect("empty");
-        assert!(back.entries().is_empty());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_entries() {
-        assert!(Trace::from_json("{}").is_err());
-        assert!(Trace::from_json(r#"[{"source":"s","tag":"t"}]"#).is_err());
-        assert!(Trace::from_json(r#"[{"at_ps":1,"source":"s"}]"#).is_err());
-        assert!(Trace::from_json(r#"[{"at_ps":1,"source":"s","tag":"t","value":"x"}]"#).is_err());
     }
 }

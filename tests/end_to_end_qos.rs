@@ -100,10 +100,7 @@ fn regulated_injection_is_contract_conformant_and_drains() {
         Application::critical(AppId(0), 0, 20),
         Application::best_effort(AppId(1), 15),
     ];
-    let contract = policy
-        .contract(&apps[0], &apps)
-        .expect("feasible")
-        .scale(4.0); // requests/ns -> flits/cycle for 4-flit packets
+    let contract = policy.contracts(&apps).expect("feasible")[0].1.scale(4.0); // requests/ns -> flits/cycle for 4-flit packets
     let mut client = Client::new(AppId(0), 0);
     client.on_config(0, contract);
     let mut noc = NocSim::new(NocConfig::new(4, 4));
@@ -117,10 +114,7 @@ fn regulated_injection_is_contract_conformant_and_drains() {
         trace.push((now as f64, 4.0));
         noc.inject(Packet::new(i, NodeId(0), NodeId(15), 4), now);
     }
-    let tb = policy
-        .contract(&apps[0], &apps)
-        .expect("feasible")
-        .scale(4.0);
+    let tb = policy.contracts(&apps).expect("feasible")[0].1.scale(4.0);
     assert_eq!(
         first_violation(&tb, &trace),
         None,
