@@ -33,13 +33,15 @@ diff tests/golden/examples_stdout.txt "$SMOKE_DIR/examples_stdout.txt"
 echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, NoC, co-sim, regulator, oracles) =="
 # Release builds turn overflow checks and debug_asserts off; the
 # scheduler's time accounting and queue bitset, the cache's flat sets and
-# per-flow state, the admission RMs' cycle arithmetic and watchdog heap,
+# per-flow state, the admission RMs' cycle arithmetic, heard-order
+# watchdog index and sequence windows (whose floor stops at u64::MAX),
 # and the NoC's ring index wrap, bitset arithmetic, hashed in-flight
 # table and drained completion queue must hold without them too. The
 # allocation gates run here as well: the event kernel's fixed handful per
 # engine and the scheduler's per-run bound, the co-sim's
-# allocations-per-packet bound and horizon-flat peak of live bytes, and
-# the platform's per-access bound and golden reports. The DRAM crate runs
+# allocations-per-packet bound and horizon-flat peak of live bytes, the
+# RM's heartbeat-flat live bytes, and the platform's per-access bound and
+# golden reports. The DRAM crate runs
 # here because its streaming channel (with costs cached at construction)
 # serves the paper pass and every co-sim, and its FR-FCFS controller the
 # WCD sweeps.
@@ -166,7 +168,8 @@ cargo run -q -p autoplat-bench --bin perf_check -- \
     --baseline BENCH_cosim.json --fresh "$SMOKE_DIR/bench_cosim.json" \
     --min-ratio "${PERF_BASELINE_RATIO:-0.25}"
 # The committed fleet baseline is 10^6 clients; the smoke run is 10^4,
-# where per-admission cost is lower, so the same loose floor holds.
+# where per-admission cost is lower, so the same loose floor holds. The
+# one rate both exports carry is fleet.admissions_per_sec.
 cargo run -q -p autoplat-bench --bin perf_check -- \
     --baseline BENCH_fleet.json --fresh "$SMOKE_DIR/fleet.json" \
     --min-ratio "${PERF_BASELINE_RATIO:-0.25}"

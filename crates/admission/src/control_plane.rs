@@ -16,7 +16,7 @@
 //! scripted `drop_nth`/`delay_nth`/`duplicate_nth` per class — governs
 //! both layers of the control hierarchy.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use autoplat_sim::{FaultInjector, FaultPlan, MessageFault};
 
@@ -42,13 +42,25 @@ impl Payload for BundleFrame {
     }
 }
 
+/// Inserts `(cycle, value)` into `queue`, which is sorted by cycle,
+/// behind every entry at or before `cycle`, so entries of one cycle stay
+/// in insertion order. The position is found from the back: a cycle at
+/// or after the last one appends, and a later one passes only the
+/// entries due after it, which the insert moves anyway.
+pub(crate) fn insert_in_order<V>(queue: &mut VecDeque<(u64, V)>, cycle: u64, value: V) {
+    let later = queue.iter().rev().take_while(|&&(c, _)| c > cycle).count();
+    queue.insert(queue.len() - later, (cycle, value));
+}
+
 /// The per-client control plane: a [`Link`] of [`Envelope`]s.
 pub type ControlPlane = Link<Envelope>;
 
 /// The hierarchical control plane: a [`Link`] of [`BundleFrame`]s.
 pub type BundlePlane = Link<BundleFrame>;
 
-/// The in-flight control-message network.
+/// The in-flight control-message network: one fault injector in front
+/// of a queue of messages sorted by delivery cycle, in send order within
+/// a cycle.
 ///
 /// # Examples
 ///
@@ -74,12 +86,15 @@ pub type BundlePlane = Link<BundleFrame>;
 pub struct Link<T> {
     injector: FaultInjector,
     latency_cycles: u64,
-    /// In-flight messages keyed by `(deliver_cycle, submission id)`: the
-    /// BTreeMap iteration order *is* the delivery order, deterministic for
-    /// a given seed. Due messages are popped off its front one by one, so
+    /// In-flight messages as `(deliver_cycle, payload)`, sorted by
+    /// delivery cycle and in send order within a cycle: the queue order
+    /// *is* the delivery order, deterministic for a given seed. The
+    /// latency is constant and senders' cycles never decrease, so an
+    /// undelayed send appends; a delayed or duplicated copy is inserted
+    /// after every entry due at or before its cycle, moving only the
+    /// messages due after it. Due messages are popped off the front, so
     /// a drain allocates nothing.
-    in_flight: BTreeMap<(u64, u64), T>,
-    next_uid: u64,
+    in_flight: VecDeque<(u64, T)>,
     sent: u64,
     dropped: u64,
     delayed: u64,
@@ -93,8 +108,7 @@ impl<T: Payload> Link<T> {
         Link {
             injector: FaultInjector::new(plan, seed),
             latency_cycles,
-            in_flight: BTreeMap::new(),
-            next_uid: 0,
+            in_flight: VecDeque::new(),
             sent: 0,
             dropped: 0,
             delayed: 0,
@@ -135,26 +149,24 @@ impl<T: Payload> Link<T> {
     }
 
     fn enqueue(&mut self, deliver_cycle: u64, payload: T) {
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.in_flight.insert((deliver_cycle, uid), payload);
+        insert_in_order(&mut self.in_flight, deliver_cycle, payload);
     }
 
     /// The earliest pending delivery, if any.
     pub fn next_delivery_cycle(&self) -> Option<u64> {
-        self.in_flight.keys().next().map(|&(cycle, _)| cycle)
+        self.in_flight.front().map(|&(cycle, _)| cycle)
     }
 
     /// Moves every payload due at or before `now_cycle` to the end of
     /// `out`, in deterministic delivery order. Callers that drain every
     /// kick keep `out` and clear it, so draining allocates nothing.
     pub fn drain_due(&mut self, now_cycle: u64, out: &mut Vec<T>) {
-        while let Some(entry) = self.in_flight.first_entry() {
-            if entry.key().0 > now_cycle {
-                break;
-            }
-            out.push(entry.remove());
-        }
+        let due = self
+            .in_flight
+            .iter()
+            .take_while(|&&(cycle, _)| cycle <= now_cycle)
+            .count();
+        out.extend(self.in_flight.drain(..due).map(|(_, payload)| payload));
     }
 
     /// Removes and returns every payload due at or before `now_cycle`,

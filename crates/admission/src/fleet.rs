@@ -82,8 +82,9 @@ const BURST: f64 = 8.0;
 
 /// The sequence number every heartbeat reuses. Heartbeats are idempotent
 /// liveness beacons — the RM touches the watchdog *before* duplicate
-/// suppression — so reusing one seq keeps the RM's per-peer receive
-/// window O(1) instead of O(heartbeats sent) at fleet scale.
+/// suppression — so a repeated seq still proves life, and the RM's
+/// per-peer receive window holds this one seq above its floor instead
+/// of one per heartbeat.
 const HEARTBEAT_SEQ: u64 = u64::MAX;
 
 /// Fleet scenario parameters.

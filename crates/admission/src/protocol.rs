@@ -21,7 +21,7 @@
 //! [`ReceiveState`] per peer so duplicated deliveries (retransmission or
 //! fault injection) are processed exactly once.
 
-use autoplat_sim::hash::{FxHashMap, FxHashSet};
+use autoplat_sim::hash::FxHashMap;
 use autoplat_sim::SimTime;
 
 use crate::app::AppId;
@@ -217,8 +217,16 @@ pub struct Envelope {
 /// Tracks which sequence numbers have been accepted from each peer; a
 /// duplicated delivery (fault injection or retransmission racing an ack)
 /// is reported once and ignored afterwards. Reordered deliveries are
-/// accepted: the window is a set, not a high-water mark. Peers and
-/// sequence numbers are only ever looked up, so both levels are hashed.
+/// accepted: the window remembers exactly which seqs it took, not a
+/// high-water mark. Each peer keeps a floor, below which every seq has
+/// been accepted, and a sorted list of the seqs accepted at or above it;
+/// accepting the floor advances it through the run of seqs the list
+/// already holds. A peer whose seqs count up, as a client's envelopes
+/// to the RM do, therefore costs O(1) state however long it runs. A
+/// sparse stream keeps one list entry per accepted seq: the RM numbers
+/// its envelopes to every client from one counter, so a client's window
+/// holds every seq it accepted above its floor. Peers are only ever
+/// looked up, so they are hashed.
 ///
 /// # Examples
 ///
@@ -233,8 +241,43 @@ pub struct Envelope {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReceiveState {
-    seen: FxHashMap<Endpoint, FxHashSet<u64>>,
+    seen: FxHashMap<Endpoint, SeqWindow>,
     duplicates: u64,
+}
+
+/// The seqs accepted from one peer: every seq below `floor`, and those
+/// in `above`, sorted ascending, all at or above it. The floor itself is
+/// in `above` only when it is `u64::MAX`, where it cannot advance.
+#[derive(Debug, Clone, Default)]
+struct SeqWindow {
+    floor: u64,
+    above: Vec<u64>,
+}
+
+impl SeqWindow {
+    /// Records `seq`; false when it was already accepted.
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq < self.floor {
+            return false;
+        }
+        if seq == self.floor && seq != u64::MAX {
+            self.floor += 1;
+            let mut run = 0;
+            while self.floor != u64::MAX && self.above.get(run) == Some(&self.floor) {
+                self.floor += 1;
+                run += 1;
+            }
+            self.above.drain(..run);
+            return true;
+        }
+        match self.above.binary_search(&seq) {
+            Ok(_) => false,
+            Err(at) => {
+                self.above.insert(at, seq);
+                true
+            }
+        }
+    }
 }
 
 impl ReceiveState {
@@ -556,5 +599,30 @@ mod tests {
         assert_eq!(rx.duplicates_suppressed(), 2);
         rx.forget(peer);
         assert!(rx.accept(peer, 0), "forgotten peers start fresh");
+    }
+
+    #[test]
+    fn seq_window_floor_stops_at_u64_max() {
+        let mut w = SeqWindow {
+            floor: u64::MAX - 2,
+            above: Vec::new(),
+        };
+        assert!(w.insert(u64::MAX));
+        assert!(w.insert(u64::MAX - 2));
+        assert_eq!(
+            (w.floor, w.above.as_slice()),
+            (u64::MAX - 1, &[u64::MAX][..])
+        );
+        // Accepting MAX - 1 reaches the top, which stays in the list.
+        assert!(w.insert(u64::MAX - 1));
+        assert_eq!((w.floor, w.above.as_slice()), (u64::MAX, &[u64::MAX][..]));
+        assert!(!w.insert(u64::MAX));
+        assert!(!w.insert(u64::MAX - 1));
+        let mut top = SeqWindow {
+            floor: u64::MAX,
+            above: Vec::new(),
+        };
+        assert!(top.insert(u64::MAX));
+        assert!(!top.insert(u64::MAX));
     }
 }

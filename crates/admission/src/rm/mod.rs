@@ -37,8 +37,7 @@
 pub mod cluster;
 pub mod root;
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use autoplat_netcalc::TokenBucket;
 use autoplat_sim::hash::{FxHashMap, FxHashSet};
@@ -46,6 +45,7 @@ use autoplat_sim::{SimDuration, SimTime};
 
 use crate::app::{AppId, Application};
 use crate::client::RetryPolicy;
+use crate::control_plane::insert_in_order;
 use crate::error::{check_latency, AdmissionError};
 use crate::modes::{RatePolicy, SystemMode};
 use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState};
@@ -174,23 +174,27 @@ pub struct ResourceManager<P> {
     known: FxHashMap<AppId, Application>,
     /// Last cycle each monitored client was heard from.
     last_heartbeat: FxHashMap<AppId, u64>,
-    /// Min-heap of `(heard_cycle, app)` over `last_heartbeat`, so the
+    /// `(heard_cycle, app)` entries over `last_heartbeat` in heard order
+    /// (ascending cycle; entries of one cycle in touch order), so the
     /// watchdog sweep and deadline query never scan every monitored
-    /// client. It is cleaned lazily: an entry is *live* iff
-    /// `last_heartbeat[app] == heard_cycle`, and a touch pushes only when
-    /// the client's heard cycle changes, leaving the superseded entry in
-    /// place as *stale*.
+    /// client. Touches happen at the caller's current cycle, which never
+    /// decreases in `FleetSim` or `Scenario`, so a touch appends; one
+    /// that goes back in time is inserted at its sorted position. It is
+    /// cleaned lazily: an entry is *live* iff `last_heartbeat[app] ==
+    /// heard_cycle`, and a touch adds an entry only when the client's
+    /// heard cycle changes, leaving the superseded entry in place as
+    /// *stale*.
     ///
     /// Invariants: every monitored client has a live entry (several only
     /// after touches that went back in time to a cycle it was heard at
-    /// before), and the top entry is live, because stale entries are
-    /// popped off the top after every touch and untouch and `poll` pops
-    /// every entry at or before its cutoff. The top therefore gives the
+    /// before), and the front entry is live, because stale entries are
+    /// popped off the front after every touch and untouch and `poll` pops
+    /// every entry at or before its cutoff. The front therefore gives the
     /// exact watchdog deadline. Size bound: the live entries plus one
     /// stale entry per heard-cycle change at a cycle after the last
     /// poll's cutoff — with `poll` on schedule, the monitored clients
     /// plus the touches within about one watchdog timeout.
-    heartbeat_index: BinaryHeap<Reverse<(u64, AppId)>>,
+    heartbeat_index: VecDeque<(u64, AppId)>,
     /// Reclamation counts feeding the quarantine decision.
     reclaim_counts: FxHashMap<AppId, u32>,
     /// Quarantined applications and the first cycle they may return.
@@ -261,7 +265,7 @@ impl<P: RatePolicy> ResourceManager<P> {
             retry: RetryPolicy::default(),
             known: FxHashMap::default(),
             last_heartbeat: FxHashMap::default(),
-            heartbeat_index: BinaryHeap::new(),
+            heartbeat_index: VecDeque::new(),
             reclaim_counts: FxHashMap::default(),
             quarantined: BTreeMap::new(),
             degraded: BTreeSet::new(),
@@ -440,11 +444,10 @@ impl<P: RatePolicy> ResourceManager<P> {
 
     /// Starts (or refreshes) watchdog monitoring of `app` as heard at
     /// `now_cycle`, keeping the watchdog index in sync: a changed heard
-    /// cycle pushes a fresh entry, and the one it supersedes goes stale.
+    /// cycle adds a fresh entry, and the one it supersedes goes stale.
     fn touch(&mut self, app: AppId, now_cycle: u64) {
         if self.last_heartbeat.insert(app, now_cycle) != Some(now_cycle) {
-            self.heartbeat_index.push(Reverse((now_cycle, app)));
-            self.drop_stale_heartbeats();
+            self.index_heartbeat(app, now_cycle);
         }
     }
 
@@ -455,8 +458,7 @@ impl<P: RatePolicy> ResourceManager<P> {
         if let Some(heard) = self.last_heartbeat.get_mut(&app) {
             if *heard != now_cycle {
                 *heard = now_cycle;
-                self.heartbeat_index.push(Reverse((now_cycle, app)));
-                self.drop_stale_heartbeats();
+                self.index_heartbeat(app, now_cycle);
             }
         }
     }
@@ -473,14 +475,22 @@ impl<P: RatePolicy> ResourceManager<P> {
         self.last_heartbeat.get(&app) == Some(&heard)
     }
 
-    /// Pops stale entries off the top of the watchdog index, so the top
-    /// is live.
+    /// Adds the live entry `(heard, app)` to the watchdog index in heard
+    /// order, then drops the stale entries it may have exposed at the
+    /// front.
+    fn index_heartbeat(&mut self, app: AppId, heard: u64) {
+        insert_in_order(&mut self.heartbeat_index, heard, app);
+        self.drop_stale_heartbeats();
+    }
+
+    /// Pops stale entries off the front of the watchdog index, so the
+    /// front is live.
     fn drop_stale_heartbeats(&mut self) {
-        while let Some(&Reverse((heard, app))) = self.heartbeat_index.peek() {
+        while let Some(&(heard, app)) = self.heartbeat_index.front() {
             if self.is_live_heartbeat(app, heard) {
                 break;
             }
-            self.heartbeat_index.pop();
+            self.heartbeat_index.pop_front();
         }
     }
 
@@ -702,12 +712,12 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// `confMsg` retransmission or a watchdog expiry.
     pub fn next_deadline(&self) -> Option<u64> {
         let retry = self.conf_retry_index.iter().next().map(|&(cycle, _)| cycle);
-        // The top of the watchdog index is always live, so it is the
+        // The front of the watchdog index is always live, so it is the
         // earliest heard cycle of any monitored client.
         let watchdog = self
             .heartbeat_index
-            .peek()
-            .map(|&Reverse((heard, _))| heard + self.watchdog.timeout_cycles);
+            .front()
+            .map(|&(heard, _)| heard + self.watchdog.timeout_cycles);
         earliest(retry, watchdog)
     }
 
@@ -752,18 +762,18 @@ impl<P: RatePolicy> ResourceManager<P> {
         // Watchdog sweep via the heartbeat index: every client whose live
         // entry was heard at or before `cutoff` has been silent past the
         // timeout. Stale entries are popped on the way, including any
-        // past the cutoff that reach the top, so the top stays live. A
-        // client with two live entries is listed twice, hence the dedup.
-        // (With no full timeout elapsed since cycle 0, nothing can have
-        // expired.)
+        // past the cutoff that reach the front, so the front stays live.
+        // A client with two live entries is listed twice, hence the
+        // dedup; the sort puts reclamations in client-id order. (With no
+        // full timeout elapsed since cycle 0, nothing can have expired.)
         if let Some(cutoff) = now_cycle.checked_sub(self.watchdog.timeout_cycles) {
             let mut expired: Vec<AppId> = Vec::new();
-            while let Some(&Reverse((heard, app))) = self.heartbeat_index.peek() {
+            while let Some(&(heard, app)) = self.heartbeat_index.front() {
                 let live = self.is_live_heartbeat(app, heard);
                 if live && heard > cutoff {
                     break;
                 }
-                self.heartbeat_index.pop();
+                self.heartbeat_index.pop_front();
                 if live {
                     expired.push(app);
                 }
@@ -1355,17 +1365,25 @@ mod tests {
         assert_heartbeat_index_invariant(&rm);
     }
 
-    /// Every monitored client has a live watchdog entry, and the top
-    /// entry is live.
+    /// The watchdog index is in heard order, every monitored client has
+    /// a live entry, and the front entry is live.
     fn assert_heartbeat_index_invariant<P>(rm: &ResourceManager<P>) {
+        let index = &rm.heartbeat_index;
+        assert!(
+            index
+                .iter()
+                .zip(index.iter().skip(1))
+                .all(|(a, b)| a.0 <= b.0),
+            "index out of heard order: {index:?}"
+        );
         for (&app, &heard) in &rm.last_heartbeat {
             assert!(
-                rm.heartbeat_index.iter().any(|e| e.0 == (heard, app)),
+                index.contains(&(heard, app)),
                 "{app} heard at {heard} has no live entry"
             );
         }
-        if let Some(&Reverse((heard, app))) = rm.heartbeat_index.peek() {
-            assert_eq!(rm.last_heartbeat.get(&app), Some(&heard), "stale top");
+        if let Some(&(heard, app)) = index.front() {
+            assert_eq!(rm.last_heartbeat.get(&app), Some(&heard), "stale front");
         }
     }
 
@@ -1380,23 +1398,23 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_heap_stays_exact_with_stale_entries() {
+    fn watchdog_index_stays_exact_with_stale_entries() {
         let mut rm = ft_rm(); // 1000-cycle timeout
         let out = rm.receive_batch(&[act(0, 0, 0), act(1, 0, 0)], 0);
         settle_confs(&mut rm, &out, 0);
         // App 1 is heard again at 900: its cycle-0 entry goes stale, but
-        // app 0's cycle-0 entry stays on top.
+        // app 0's cycle-0 entry stays at the front.
         let _ = rm.receive_batch(&[heartbeat(1, 900)], 900);
         assert_heartbeat_index_invariant(&rm);
         assert_eq!(rm.next_deadline(), Some(1_000));
         // The sweep at 1000 reclaims app 0 only and pops app 1's stale
-        // entry on the way; app 1's live entry is the new top.
+        // entry on the way; app 1's live entry is the new front.
         let _ = rm.poll(1_000);
         assert_eq!(rm.reclamations(), 1);
         assert!(rm.is_active(AppId(1)));
         assert_heartbeat_index_invariant(&rm);
         assert_eq!(rm.heartbeat_index.len(), 1);
-        assert_eq!(rm.heartbeat_index.peek(), Some(&Reverse((900, AppId(1)))));
+        assert_eq!(rm.heartbeat_index.front(), Some(&(900, AppId(1))));
     }
 
     #[test]
@@ -1407,6 +1425,8 @@ mod tests {
         // Heard at 500, then at 300 (a cycle that went backwards), then at
         // 500 again: two live entries for the same heard cycle.
         let _ = rm.receive_batch(&[heartbeat(0, 300)], 300);
+        assert_heartbeat_index_invariant(&rm);
+        assert_eq!(rm.heartbeat_index.front(), Some(&(300, AppId(0))));
         assert_eq!(rm.next_deadline(), Some(1_300));
         let _ = rm.receive_batch(&[heartbeat(0, 500)], 500);
         assert_heartbeat_index_invariant(&rm);

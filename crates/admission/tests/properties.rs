@@ -1,15 +1,18 @@
 //! Property-based tests for the admission-control layer.
 
+use std::collections::{BTreeMap, HashSet};
+
 use autoplat_admission::app::{AppId, Application};
 use autoplat_admission::client::{Client, RetryPolicy, TransmitDecision};
+use autoplat_admission::control_plane::ControlPlane;
 use autoplat_admission::e2e::ResourceChain;
 use autoplat_admission::modes::{RatePolicy, SymmetricPolicy, WeightedPolicy};
-use autoplat_admission::protocol::{ControlMessage, Endpoint, Envelope};
+use autoplat_admission::protocol::{ControlMessage, Endpoint, Envelope, ReceiveState};
 use autoplat_admission::rm::{ResourceManager, WatchdogConfig};
 use autoplat_admission::simulation::{Scenario, ScenarioEvent};
 use autoplat_netcalc::conformance::first_violation;
 use autoplat_netcalc::{RateLatency, TokenBucket};
-use autoplat_sim::{FaultPlan, SimTime};
+use autoplat_sim::{FaultInjector, FaultPlan, MessageFault, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -499,5 +502,255 @@ proptest! {
             .map(|o| o.observed_rate)
             .sum();
         prop_assert!(total_rate <= 0.5 * 4.0 + 0.1, "overcommitted: {total_rate}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The control plane's ordered containers against plain reference models
+// ---------------------------------------------------------------------
+
+/// The message classes the link properties send, so scripted faults of
+/// one class skip the messages of the others.
+fn classed(class: u8, app: u32, seq: u64, now: u64) -> Envelope {
+    let message = match class % 3 {
+        0 => ControlMessage::Stop { app: AppId(app) },
+        1 => ControlMessage::Heartbeat { app: AppId(app) },
+        _ => ControlMessage::Ack {
+            app: AppId(app),
+            of_seq: seq,
+        },
+    };
+    Envelope {
+        from: Endpoint::Rm,
+        to: Endpoint::Client(AppId(app)),
+        seq,
+        sent_at_cycle: now,
+        message,
+    }
+}
+
+/// A client-plane message from `app`.
+fn from_client(app: u32, seq: u64, now: u64, message: ControlMessage) -> Envelope {
+    Envelope {
+        from: Endpoint::Client(AppId(app)),
+        to: Endpoint::Rm,
+        seq,
+        sent_at_cycle: now,
+        message,
+    }
+}
+
+/// The retry backoff of the watchdog property: longer than any run, so
+/// no `confMsg` is retransmitted and no retry deadline precedes a
+/// watchdog deadline.
+const NEVER_RETRY: u64 = 1 << 40;
+
+proptest! {
+    /// A `Link` delivers exactly what a `(deliver_cycle, send index)`
+    /// B-tree fed by a twin injector of the same plan and seed delivers:
+    /// sends at non-decreasing cycles under random drop, delay and
+    /// duplicate probabilities and scripted `delay_nth` faults,
+    /// interleaved with drains.
+    #[test]
+    fn link_delivers_like_a_btree_in_send_order(
+        seed in any::<u64>(),
+        latency in 0u64..20,
+        drop_p in 0.0f64..0.3,
+        delay_p in 0.0f64..0.4,
+        dup_p in 0.0f64..0.3,
+        max_delay in 1u64..60,
+        scripted in proptest::collection::vec((0u8..3, 0u64..40, 1u64..80), 0..4),
+        ops in proptest::collection::vec((0u8..4, 0u64..6, 0u8..3), 1..200),
+    ) {
+        let mut plan = FaultPlan::new()
+            .drop_probability(drop_p)
+            .delay_probability(delay_p)
+            .duplicate_probability(dup_p)
+            .max_delay_cycles(max_delay);
+        for &(class, nth, extra) in &scripted {
+            let name = classed(class, 0, 0, 0).message.name();
+            plan = plan.delay_nth(name, nth, extra);
+        }
+        let mut link = ControlPlane::new(plan.clone(), seed, latency);
+        let mut twin = FaultInjector::new(plan, seed);
+        let mut model: BTreeMap<(u64, u64), Envelope> = BTreeMap::new();
+        let mut copies = 0u64;
+        let mut enqueue = |model: &mut BTreeMap<(u64, u64), Envelope>, at: u64, e: Envelope| {
+            model.insert((at, copies), e);
+            copies += 1;
+        };
+        let mut now = 0u64;
+        let mut out = Vec::new();
+        for (i, &(kind, dt, class)) in ops.iter().enumerate() {
+            now += dt;
+            if kind < 3 {
+                let e = classed(class, i as u32, i as u64, now);
+                link.send(now, e);
+                let due = now + latency;
+                match twin.on_message(now, e.message.name()) {
+                    MessageFault::Deliver => enqueue(&mut model, due, e),
+                    MessageFault::Drop => {}
+                    MessageFault::Delay(extra) => enqueue(&mut model, due + extra, e),
+                    MessageFault::Duplicate(extra) => {
+                        enqueue(&mut model, due, e);
+                        enqueue(&mut model, due + extra, e);
+                    }
+                }
+            } else {
+                out.clear();
+                link.drain_due(now, &mut out);
+                let mut expected = Vec::new();
+                while let Some(entry) = model.first_entry() {
+                    if entry.key().0 > now {
+                        break;
+                    }
+                    expected.push(entry.remove());
+                }
+                prop_assert_eq!(&out, &expected, "drain at {}", now);
+            }
+            prop_assert_eq!(
+                link.next_delivery_cycle(),
+                model.keys().next().map(|&(cycle, _)| cycle)
+            );
+        }
+        let rest = link.take_due(u64::MAX);
+        let expected: Vec<Envelope> = std::mem::take(&mut model).into_values().collect();
+        prop_assert_eq!(rest, expected);
+        prop_assert!(link.is_empty());
+    }
+
+    /// `ReceiveState` answers exactly like a set of every `(peer, seq)`
+    /// it accepted: in-order, reordered and repeated seqs, seqs at the
+    /// top of the range, and `forget`.
+    #[test]
+    fn receive_state_answers_like_a_set_of_every_seq(
+        ops in proptest::collection::vec((0u8..8, 0u8..4, any::<u64>()), 1..300),
+    ) {
+        let mut rx = ReceiveState::new();
+        let mut model: HashSet<(Endpoint, u64)> = HashSet::new();
+        let mut duplicates = 0u64;
+        let mut next = [0u64; 4];
+        for &(kind, p, x) in &ops {
+            let peer = if p == 0 { Endpoint::Rm } else { Endpoint::Client(AppId(p as u32)) };
+            let counter = &mut next[p as usize];
+            let seq = match kind {
+                // In order, or skipping ahead past a gap.
+                0 | 1 => {
+                    *counter += x % 3;
+                    *counter += 1;
+                    *counter - 1
+                }
+                // Reordered: a seq ahead of the counter.
+                2 => *counter + x % 8,
+                // Repeated: a seq already behind the counter.
+                3 => counter.saturating_sub(1 + x % 4),
+                // The top of the range.
+                4 => u64::MAX - x % 3,
+                5 => x,
+                6 => x % 16,
+                _ => {
+                    rx.forget(peer);
+                    model.retain(|&(q, _)| q != peer);
+                    *counter = 0;
+                    continue;
+                }
+            };
+            let fresh = model.insert((peer, seq));
+            if !fresh {
+                duplicates += 1;
+            }
+            prop_assert_eq!(rx.accept(peer, seq), fresh, "{} seq {}", peer, seq);
+            prop_assert_eq!(rx.duplicates_suppressed(), duplicates);
+        }
+    }
+
+    /// The RM's watchdog reclaims exactly the clients a scan of their
+    /// last heard cycles finds silent past the timeout, and its next
+    /// deadline is that scan's earliest expiry: over random client
+    /// messages and polls, one of them at a cycle that goes backwards.
+    #[test]
+    fn watchdog_matches_a_scan_of_last_heard_cycles(
+        timeout in 20u64..300,
+        back_at in 0usize..120,
+        back_by in 0u64..400,
+        ops in proptest::collection::vec((0u8..6, 0u32..5, 0u64..60, 1usize..4), 1..120),
+    ) {
+        let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 0.0)
+            .with_watchdog(WatchdogConfig {
+                timeout_cycles: timeout,
+                quarantine_threshold: 2,
+                quarantine_cooldown_cycles: 500,
+            })
+            .with_retry(RetryPolicy::new(NEVER_RETRY, 3));
+        for n in 0..5u32 {
+            rm.register(Application::best_effort(AppId(n), n));
+        }
+        let active = |rm: &ResourceManager<SymmetricPolicy>, app: u32| {
+            rm.active().iter().any(|a| a.id == AppId(app))
+        };
+        // Last heard cycle of every monitored (that is, active) client.
+        let mut heard: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut seqs = [0u64; 5];
+        let mut clock = 0u64;
+        for (i, &(kind, app, dt, batch)) in ops.iter().enumerate() {
+            clock += dt;
+            let now = if i == back_at { clock.saturating_sub(back_by) } else { clock };
+            if kind == 5 {
+                let before = rm.reclamations();
+                let cutoff = now.checked_sub(timeout);
+                let expired: Vec<AppId> = heard
+                    .iter()
+                    .filter(|&(_, &h)| cutoff.is_some_and(|c| h <= c))
+                    .map(|(&a, _)| AppId(a))
+                    .collect();
+                let _ = rm.poll(now);
+                prop_assert_eq!(rm.take_departures(), expired.clone(), "poll at {}", now);
+                prop_assert_eq!(rm.reclamations() - before, expired.len() as u64);
+                for a in expired {
+                    heard.remove(&a.0);
+                }
+            } else {
+                // A batch of messages from consecutive clients.
+                let apps: Vec<u32> = (0..batch as u32).map(|k| (app + k) % 5).collect();
+                let envelopes: Vec<Envelope> = apps
+                    .iter()
+                    .map(|&a| {
+                        let message = match kind {
+                            0 | 1 => ControlMessage::Activation { app: AppId(a) },
+                            2 => ControlMessage::Heartbeat { app: AppId(a) },
+                            3 => ControlMessage::Termination { app: AppId(a) },
+                            _ => ControlMessage::Ack { app: AppId(a), of_seq: dt },
+                        };
+                        seqs[a as usize] += 1;
+                        from_client(a, seqs[a as usize], now, message)
+                    })
+                    .collect();
+                let _ = rm.receive_batch(&envelopes, now);
+                let _ = rm.take_departures();
+                // Any message from a monitored client, and an admission,
+                // is heard at `now`; a departed client is not monitored.
+                for a in 0..5u32 {
+                    if !active(&rm, a) {
+                        heard.remove(&a);
+                    } else if apps.contains(&a) || !heard.contains_key(&a) {
+                        heard.insert(a, now);
+                    }
+                }
+            }
+            for a in 0..5u32 {
+                prop_assert_eq!(active(&rm, a), heard.contains_key(&a), "app {} at {}", a, now);
+            }
+            // The earliest heard cycle of any monitored client, plus the
+            // timeout.
+            match heard.values().min().map(|&h| h + timeout) {
+                Some(due) => prop_assert_eq!(rm.next_deadline(), Some(due), "at {}", now),
+                None => prop_assert!(
+                    rm.next_deadline().is_none_or(|due| due >= NEVER_RETRY),
+                    "no client monitored at {}, yet a deadline {:?}",
+                    now,
+                    rm.next_deadline()
+                ),
+            }
+        }
     }
 }

@@ -181,10 +181,6 @@ fn main() {
             "fleet.admissions_per_sec",
             outcome.admitted.len() as f64 / elapsed.max(1e-9),
         );
-        registry.gauge_set(
-            "fleet.kicks_per_sec",
-            outcome.kicks as f64 / elapsed.max(1e-9),
-        );
         registry.gauge_set("fleet.wall_seconds", elapsed);
     }
 
