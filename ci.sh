@@ -34,8 +34,9 @@ echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, N
 # Release builds turn overflow checks and debug_asserts off; the
 # scheduler's time accounting and queue bitset, the cache's flat sets and
 # per-flow state, the admission RMs' cycle arithmetic, heard-order
-# watchdog index and sequence windows (whose floor stops at u64::MAX),
-# and the NoC's ring index wrap, bitset arithmetic, hashed in-flight
+# watchdog index, per-client records and sequence windows (whose floor
+# stops at u64::MAX, the top seq being a flag), the fleet's hashed timer
+# wheel, and the NoC's ring index wrap, bitset arithmetic, hashed in-flight
 # table and drained completion queue must hold without them too. The
 # allocation gates run here as well: the event kernel's fixed handful per
 # engine and the scheduler's per-run bound, the co-sim's

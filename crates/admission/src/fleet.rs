@@ -20,10 +20,12 @@
 //! A kick also costs what it delivers, not bookkeeping: the planes drain
 //! into buffers the sim keeps across kicks (the drain buffers, the
 //! per-cluster inboxes, the root-bound and down-bound bundle lists), the
-//! wheel reuses the id lists of fired cycles, and the RMs look clients
-//! up in hashed maps and keep their watchdog in a lazily-cleaned heap. A
-//! steady stream of heartbeats therefore allocates nothing per message
-//! beyond the occasional B-tree node of the planes and the wheel.
+//! wheel arms a timer with one hashed push and reuses the id lists of
+//! fired cycles, the RMs keep one hashed record per client and their
+//! watchdog in a heard-order index, and the sim caches each cluster's
+//! next deadline between its steps. A steady stream of heartbeats
+//! therefore allocates nothing per message beyond the occasional growth
+//! of a queue, a hashed map or a heap.
 //!
 //! Everything is seeded: plane fault injectors derive from
 //! [`FleetConfig::seed`], timers depend only on client ids, and delivery
@@ -38,8 +40,10 @@
 //! [`FleetOutcome::reconverge_cycles`] is the gap from the storm to that
 //! final transition.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
+use autoplat_sim::hash::FxHashMap;
 use autoplat_sim::{
     Engine, EventSink, FaultPlan, HistogramSketch, MetricsRegistry, Process, SimTime,
 };
@@ -241,6 +245,10 @@ enum Topo {
     },
     Hier {
         cluster_rms: Vec<ClusterRm<WeightedPolicy>>,
+        /// Each cluster's [`ClusterRm::next_deadline`], refreshed after
+        /// its every step, the only call that moves a cluster's timers;
+        /// a kick reads these instead of asking every cluster.
+        deadlines: Vec<Option<u64>>,
         planes: Vec<ControlPlane>,
         bundle_plane: BundlePlane,
         root: RootArbiter,
@@ -324,14 +332,19 @@ impl FleetOutcome {
     }
 }
 
-/// The clients' timer wheel: fire cycle → the ids armed for that cycle,
-/// in arm order. Stale entries (client re-armed since) are skipped via
-/// [`FleetClient::armed_at`]. The id lists of fired cycles are cleared
-/// into a spare pool and reused for later cycles, so a steady heartbeat
-/// stream allocates no id lists.
+/// The clients' timer wheel: hashed slots from fire cycle to the ids
+/// armed for that cycle, in arm order, plus a min-heap of the distinct
+/// armed cycles. An arm is one hashed push; the heap changes only when a
+/// cycle gets its first id or fires, and holds exactly the slots' keys,
+/// so [`next`](Self::next) and [`pop_due`](Self::pop_due) answer what an
+/// ordered map of the slots would. Stale entries (client re-armed since)
+/// are skipped via [`FleetClient::armed_at`]. The id lists of fired
+/// cycles are cleared into a spare pool and reused for later cycles, so
+/// a steady heartbeat stream allocates no id lists.
 #[derive(Debug, Default)]
 struct TimerWheel {
-    slots: BTreeMap<u64, Vec<u32>>,
+    slots: FxHashMap<u64, Vec<u32>>,
+    cycles: BinaryHeap<Reverse<u64>>,
     spare: Vec<Vec<u32>>,
 }
 
@@ -342,19 +355,27 @@ impl TimerWheel {
         client.armed_at = at;
         self.slots
             .entry(at)
-            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .or_insert_with(|| {
+                self.cycles.push(Reverse(at));
+                self.spare.pop().unwrap_or_default()
+            })
             .push(id);
     }
 
     /// The earliest armed cycle.
     fn next(&self) -> Option<u64> {
-        self.slots.first_key_value().map(|(&cycle, _)| cycle)
+        self.cycles.peek().map(|&Reverse(cycle)| cycle)
     }
 
     /// Removes the earliest cycle and its ids, if it is due by `now`.
     fn pop_due(&mut self, now: u64) -> Option<(u64, Vec<u32>)> {
-        let entry = self.slots.first_entry()?;
-        (*entry.key() <= now).then(|| entry.remove_entry())
+        let cycle = self.next().filter(|&cycle| cycle <= now)?;
+        self.cycles.pop();
+        let ids = self
+            .slots
+            .remove(&cycle)
+            .expect("every heap cycle has a slot");
+        Some((cycle, ids))
     }
 
     /// Returns a fired cycle's id list to the pool.
@@ -585,6 +606,7 @@ impl FleetSim {
                     root.register_cluster(ClusterId(c), 0);
                 }
                 Topo::Hier {
+                    deadlines: cluster_rms.iter().map(ClusterRm::next_deadline).collect(),
                     cluster_rms,
                     planes,
                     bundle_plane: BundlePlane::new(
@@ -740,6 +762,7 @@ impl FleetSim {
             }
             Topo::Hier {
                 cluster_rms,
+                deadlines,
                 planes,
                 bundle_plane,
                 root,
@@ -782,16 +805,14 @@ impl FleetSim {
                     let (inbox, down) = (&mut inboxes[c], &mut downs[c]);
                     // Idle shards with no due timer produce nothing;
                     // skipping them is what keeps a kick O(due work).
-                    if down.is_empty()
-                        && inbox.is_empty()
-                        && cluster.next_deadline().is_none_or(|d| d > now)
-                    {
+                    if down.is_empty() && inbox.is_empty() && deadlines[c].is_none_or(|d| d > now) {
                         continue;
                     }
                     if !inbox.is_empty() {
                         self.queue_depth.record(inbox.len() as f64);
                     }
                     let step = cluster.step(down, inbox, now);
+                    deadlines[c] = cluster.next_deadline();
                     inbox.clear();
                     down.clear();
                     for envelope in step.to_clients {
@@ -809,6 +830,13 @@ impl FleetSim {
                 for down in root.poll(now) {
                     bundle_plane.send(now, BundleFrame::Down(down));
                 }
+                debug_assert!(
+                    cluster_rms
+                        .iter()
+                        .zip(deadlines.iter())
+                        .all(|(cluster, &cached)| cluster.next_deadline() == cached),
+                    "a cached shard deadline went stale"
+                );
             }
         }
     }
@@ -908,16 +936,17 @@ impl FleetSim {
                 next = earliest(next, rm.next_deadline());
             }
             Topo::Hier {
-                cluster_rms,
+                deadlines,
                 planes,
                 bundle_plane,
                 root,
+                ..
             } => {
                 for plane in planes {
                     next = earliest(next, plane.next_delivery_cycle());
                 }
-                for cluster in cluster_rms {
-                    next = earliest(next, cluster.next_deadline());
+                for &deadline in deadlines {
+                    next = earliest(next, deadline);
                 }
                 next = earliest(next, bundle_plane.next_delivery_cycle());
                 next = earliest(next, root.next_deadline());
@@ -976,6 +1005,7 @@ impl FleetSim {
                 planes,
                 bundle_plane,
                 root,
+                ..
             } => {
                 let mut quarantined = Vec::new();
                 let mut active = 0u64;
@@ -1260,6 +1290,53 @@ mod tests {
             wave_size: 0,
             ..FleetConfig::default()
         });
+    }
+
+    /// The hashed wheel pops and peeks like the ordered map it replaced:
+    /// seeded arms (cycles repeated by several ids, re-arms of one id,
+    /// arms far ahead) interleaved with `pop_due` at a non-decreasing
+    /// `now`, every arm for a cycle after `now`.
+    #[test]
+    fn timer_wheel_answers_like_an_ordered_map() {
+        use autoplat_sim::SimRng;
+        use std::collections::BTreeMap;
+        for seed in 0..16 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut wheel = TimerWheel::default();
+            let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            let mut clients = vec![FleetClient::new(); 8];
+            let mut now = 0u64;
+            for _ in 0..2_000 {
+                match rng.gen_range(0u64..4) {
+                    0 | 1 => {
+                        let id: u32 = rng.gen_range(0u32..8);
+                        let ahead = match rng.gen_range(0u64..3) {
+                            0 => rng.gen_range(0u64..3),
+                            1 => rng.gen_range(0u64..64),
+                            _ => rng.gen_range(0u64..1 << 40),
+                        };
+                        let at = now + 1 + ahead;
+                        wheel.arm(&mut clients[id as usize], id, at);
+                        assert_eq!(clients[id as usize].armed_at, at);
+                        model.entry(at).or_default().push(id);
+                    }
+                    2 => now += rng.gen_range(0u64..8),
+                    _ => loop {
+                        let expected = model
+                            .first_entry()
+                            .filter(|due| *due.key() <= now)
+                            .map(|due| due.remove_entry());
+                        let popped = wheel.pop_due(now);
+                        assert_eq!(popped, expected, "seed {seed}, pop at {now}");
+                        match popped {
+                            Some((_, ids)) => wheel.recycle(ids),
+                            None => break,
+                        }
+                    },
+                }
+                assert_eq!(wheel.next(), model.keys().next().copied(), "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! * `rejMsg` — explicit admission refusal, so a refused client stops
 //!   retransmitting its `actMsg`.
 //!
-//! Messages travel in sequence-numbered [`Envelope`]s; receivers run a
-//! [`ReceiveState`] per peer so duplicated deliveries (retransmission or
+//! Messages travel in sequence-numbered [`Envelope`]s; receivers keep a
+//! sequence window per peer (a client in its [`ReceiveState`], the RM in
+//! each client's record) so duplicated deliveries (retransmission or
 //! fault injection) are processed exactly once.
 
 use autoplat_sim::hash::FxHashMap;
@@ -196,8 +197,9 @@ impl std::fmt::Display for Endpoint {
 /// A sequence-numbered control message in flight between two endpoints.
 ///
 /// Sequence numbers are per *sender* endpoint and strictly increasing, so
-/// a receiver's [`ReceiveState`] can discard duplicated deliveries while
-/// tolerating reordering.
+/// a receiver's sequence window (a client's [`ReceiveState`], an RM's
+/// per-client record) can discard duplicated deliveries while tolerating
+/// reordering.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope {
     /// Sender.
@@ -217,16 +219,12 @@ pub struct Envelope {
 /// Tracks which sequence numbers have been accepted from each peer; a
 /// duplicated delivery (fault injection or retransmission racing an ack)
 /// is reported once and ignored afterwards. Reordered deliveries are
-/// accepted: the window remembers exactly which seqs it took, not a
-/// high-water mark. Each peer keeps a floor, below which every seq has
-/// been accepted, and a sorted list of the seqs accepted at or above it;
-/// accepting the floor advances it through the run of seqs the list
-/// already holds. A peer whose seqs count up, as a client's envelopes
-/// to the RM do, therefore costs O(1) state however long it runs. A
-/// sparse stream keeps one list entry per accepted seq: the RM numbers
-/// its envelopes to every client from one counter, so a client's window
-/// holds every seq it accepted above its floor. Peers are only ever
-/// looked up, so they are hashed.
+/// accepted: each peer's window remembers exactly which seqs it took (a
+/// floor plus the seqs above it), not a high-water mark. Peers are only
+/// ever looked up, so they are hashed. A client runs one of these for
+/// the envelopes the RM sends it; the RM keeps each client's window in
+/// that client's own record instead (see
+/// [`ResourceManager`](crate::rm::ResourceManager)).
 ///
 /// # Examples
 ///
@@ -245,25 +243,38 @@ pub struct ReceiveState {
     duplicates: u64,
 }
 
-/// The seqs accepted from one peer: every seq below `floor`, and those
-/// in `above`, sorted ascending, all at or above it. The floor itself is
-/// in `above` only when it is `u64::MAX`, where it cannot advance.
+/// The seqs accepted from one peer, answering exactly like a set of
+/// every seq it took: every seq below `floor`, those in `above` (sorted
+/// ascending, all above the floor and below `u64::MAX`), and `u64::MAX`
+/// itself when `top` is set. Accepting the floor advances it through
+/// the run of seqs `above` already holds, so a peer whose seqs count up,
+/// as a client's envelopes to the RM do, costs O(1) state however long
+/// it runs. A sparse stream keeps one `above` entry per accepted seq: the
+/// RM numbers its envelopes to every client from one counter, so a
+/// client's window holds every seq it accepted above its floor. The top
+/// seq, which every fleet heartbeat reuses, is a flag rather than an
+/// entry: the floor never reaches past it, and a heartbeat then touches
+/// no list.
 #[derive(Debug, Clone, Default)]
-struct SeqWindow {
+pub(crate) struct SeqWindow {
     floor: u64,
     above: Vec<u64>,
+    top: bool,
 }
 
 impl SeqWindow {
     /// Records `seq`; false when it was already accepted.
-    fn insert(&mut self, seq: u64) -> bool {
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
+        if seq == u64::MAX {
+            return !std::mem::replace(&mut self.top, true);
+        }
         if seq < self.floor {
             return false;
         }
-        if seq == self.floor && seq != u64::MAX {
+        if seq == self.floor {
             self.floor += 1;
             let mut run = 0;
-            while self.floor != u64::MAX && self.above.get(run) == Some(&self.floor) {
+            while self.above.get(run) == Some(&self.floor) {
                 self.floor += 1;
                 run += 1;
             }
@@ -605,22 +616,25 @@ mod tests {
     fn seq_window_floor_stops_at_u64_max() {
         let mut w = SeqWindow {
             floor: u64::MAX - 2,
-            above: Vec::new(),
+            ..SeqWindow::default()
         };
         assert!(w.insert(u64::MAX));
         assert!(w.insert(u64::MAX - 2));
         assert_eq!(
-            (w.floor, w.above.as_slice()),
-            (u64::MAX - 1, &[u64::MAX][..])
+            (w.floor, w.above.as_slice(), w.top),
+            (u64::MAX - 1, &[][..], true)
         );
-        // Accepting MAX - 1 reaches the top, which stays in the list.
+        // Accepting MAX - 1 reaches the top, which stays a flag.
         assert!(w.insert(u64::MAX - 1));
-        assert_eq!((w.floor, w.above.as_slice()), (u64::MAX, &[u64::MAX][..]));
+        assert_eq!(
+            (w.floor, w.above.as_slice(), w.top),
+            (u64::MAX, &[][..], true)
+        );
         assert!(!w.insert(u64::MAX));
         assert!(!w.insert(u64::MAX - 1));
         let mut top = SeqWindow {
             floor: u64::MAX,
-            above: Vec::new(),
+            ..SeqWindow::default()
         };
         assert!(top.insert(u64::MAX));
         assert!(!top.insert(u64::MAX));

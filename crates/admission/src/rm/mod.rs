@@ -48,7 +48,7 @@ use crate::client::RetryPolicy;
 use crate::control_plane::insert_in_order;
 use crate::error::{check_latency, AdmissionError};
 use crate::modes::{RatePolicy, SystemMode};
-use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, ReceiveState};
+use crate::protocol::{ControlMessage, Endpoint, Envelope, MessageLog, SeqWindow};
 
 /// Watchdog and degradation parameters for the message-driven RM.
 ///
@@ -118,6 +118,18 @@ struct PendingConf {
     next_retry_cycle: u64,
 }
 
+/// What the RM keeps about one client it has heard from or monitors, so
+/// that a heartbeat costs one probe of one map for its watchdog touch
+/// and one for its dedup.
+#[derive(Debug, Default)]
+struct ClientRecord {
+    /// The cycle the client was last heard at while the watchdog
+    /// monitors it; `None` when it is not monitored.
+    heard: Option<u64>,
+    /// The seqs accepted from the client's envelopes.
+    window: SeqWindow,
+}
+
 /// Result of an admission request.
 #[derive(Debug, Clone)]
 pub struct AdmissionOutcome {
@@ -134,9 +146,11 @@ pub struct AdmissionOutcome {
 ///
 /// Per-client state that is only ever looked up by id lives in hashed
 /// maps with a seedless hasher, so hashing and `Debug` output are the
-/// same in every process; state whose order is observed — the active
-/// member list, the quarantine, the degraded set and the conf retry
-/// index — stays ordered.
+/// same in every process; what every delivered envelope reads (the
+/// watchdog's heard cycle and the sequence window) shares one record
+/// per client. State whose order is observed — the active member list,
+/// the quarantine, the degraded set and the conf retry index — stays
+/// ordered.
 ///
 /// # Examples
 ///
@@ -172,18 +186,21 @@ pub struct ResourceManager<P> {
     /// Application metadata known to the RM, keyed by id, so an `actMsg`
     /// (which carries only the id) can be resolved to demands.
     known: FxHashMap<AppId, Application>,
-    /// Last cycle each monitored client was heard from.
-    last_heartbeat: FxHashMap<AppId, u64>,
-    /// `(heard_cycle, app)` entries over `last_heartbeat` in heard order
-    /// (ascending cycle; entries of one cycle in touch order), so the
-    /// watchdog sweep and deadline query never scan every monitored
-    /// client. Touches happen at the caller's current cycle, which never
-    /// decreases in `FleetSim` or `Scenario`, so a touch appends; one
-    /// that goes back in time is inserted at its sorted position. It is
-    /// cleaned lazily: an entry is *live* iff `last_heartbeat[app] ==
-    /// heard_cycle`, and a touch adds an entry only when the client's
-    /// heard cycle changes, leaving the superseded entry in place as
-    /// *stale*.
+    /// One record per client: its heard cycle while monitored and the
+    /// seqs accepted from it. [`release`](Self::release) removes it, so a
+    /// departed client is no longer monitored and a future incarnation
+    /// starts its sequence numbers over.
+    records: FxHashMap<AppId, ClientRecord>,
+    /// `(heard_cycle, app)` entries over the records' heard cycles in
+    /// heard order (ascending cycle; entries of one cycle in touch
+    /// order), so the watchdog sweep and deadline query never scan every
+    /// monitored client. Touches happen at the caller's current cycle,
+    /// which never decreases in `FleetSim` or `Scenario`, so a touch
+    /// appends; one that goes back in time is inserted at its sorted
+    /// position. It is cleaned lazily: an entry is *live* iff
+    /// `records[app].heard == Some(heard_cycle)`, and a touch adds an
+    /// entry only when the client's heard cycle changes, leaving the
+    /// superseded entry in place as *stale*.
     ///
     /// Invariants: every monitored client has a live entry (several only
     /// after touches that went back in time to a cycle it was heard at
@@ -203,7 +220,11 @@ pub struct ResourceManager<P> {
     /// means safe mode.
     degraded: BTreeSet<AppId>,
     next_seq: u64,
-    rx: ReceiveState,
+    /// The seqs accepted from envelopes whose sender is the RM endpoint
+    /// itself (protocol noise, but deduplicated like any peer).
+    rm_window: SeqWindow,
+    /// Duplicated deliveries suppressed.
+    duplicates: u64,
     /// At most one unacknowledged `confMsg` per client (newer rounds
     /// supersede older ones), looked up by client id; the retransmission
     /// sweep finds due confs through the retry index and sorts them by id
@@ -264,13 +285,14 @@ impl<P: RatePolicy> ResourceManager<P> {
             watchdog: WatchdogConfig::default(),
             retry: RetryPolicy::default(),
             known: FxHashMap::default(),
-            last_heartbeat: FxHashMap::default(),
+            records: FxHashMap::default(),
             heartbeat_index: VecDeque::new(),
             reclaim_counts: FxHashMap::default(),
             quarantined: BTreeMap::new(),
             degraded: BTreeSet::new(),
             next_seq: 0,
-            rx: ReceiveState::new(),
+            rm_window: SeqWindow::default(),
+            duplicates: 0,
             pending_confs: FxHashMap::default(),
             conf_retry_index: BTreeSet::new(),
             last_rates: FxHashMap::default(),
@@ -446,7 +468,8 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// `now_cycle`, keeping the watchdog index in sync: a changed heard
     /// cycle adds a fresh entry, and the one it supersedes goes stale.
     fn touch(&mut self, app: AppId, now_cycle: u64) {
-        if self.last_heartbeat.insert(app, now_cycle) != Some(now_cycle) {
+        let record = self.records.entry(app).or_default();
+        if record.heard.replace(now_cycle) != Some(now_cycle) {
             self.index_heartbeat(app, now_cycle);
         }
     }
@@ -455,7 +478,7 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// delivered message counts); unlike [`touch`](Self::touch), it never
     /// starts monitoring a client.
     fn heard_from(&mut self, app: AppId, now_cycle: u64) {
-        if let Some(heard) = self.last_heartbeat.get_mut(&app) {
+        if let Some(heard) = self.records.get_mut(&app).and_then(|r| r.heard.as_mut()) {
             if *heard != now_cycle {
                 *heard = now_cycle;
                 self.index_heartbeat(app, now_cycle);
@@ -463,16 +486,33 @@ impl<P: RatePolicy> ResourceManager<P> {
         }
     }
 
-    /// Stops monitoring `app`; its index entries go stale.
+    /// Stops monitoring `app` and forgets the seqs accepted from it, by
+    /// removing its record; its index entries go stale.
     fn untouch(&mut self, app: AppId) {
-        if self.last_heartbeat.remove(&app).is_some() {
+        if self.records.remove(&app).is_some_and(|r| r.heard.is_some()) {
             self.drop_stale_heartbeats();
         }
     }
 
     /// Whether the watchdog index entry `(heard, app)` is live.
     fn is_live_heartbeat(&self, app: AppId, heard: u64) -> bool {
-        self.last_heartbeat.get(&app) == Some(&heard)
+        self.records
+            .get(&app)
+            .is_some_and(|r| r.heard == Some(heard))
+    }
+
+    /// Returns true when `seq` from `from` is fresh and records it;
+    /// false for an already-processed duplicate, which is counted.
+    fn accept(&mut self, from: Endpoint, seq: u64) -> bool {
+        let window = match from {
+            Endpoint::Rm => &mut self.rm_window,
+            Endpoint::Client(app) => &mut self.records.entry(app).or_default().window,
+        };
+        let fresh = window.insert(seq);
+        if !fresh {
+            self.duplicates += 1;
+        }
+        fresh
     }
 
     /// Adds the live entry `(heard, app)` to the watchdog index in heard
@@ -572,7 +612,7 @@ impl<P: RatePolicy> ResourceManager<P> {
 
     /// Duplicated deliveries the RM suppressed.
     pub fn duplicates_suppressed(&self) -> u64 {
-        self.rx.duplicates_suppressed()
+        self.duplicates
     }
 
     /// `confMsg`s still awaiting acknowledgement.
@@ -698,14 +738,13 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// Drops every per-client obligation towards `app` after it leaves
     /// (termination or reclamation).
     fn release(&mut self, app: AppId) {
+        // A future incarnation of the client starts its sequence numbers
+        // over, so its window goes with the record.
         self.untouch(app);
         self.clear_pending_conf(app);
         self.last_rates.remove(&app);
         // The unreachable client is gone; degradation ends with it.
         self.degraded.remove(&app);
-        // A future incarnation of the client starts its sequence numbers
-        // over.
-        self.rx.forget(Endpoint::Client(app));
     }
 
     /// The next cycle at which [`poll`](Self::poll) has work: a due
@@ -833,7 +872,7 @@ impl<P: RatePolicy> ResourceManager<P> {
         for envelope in envelopes {
             // Any message is proof of life for the watchdog.
             self.heard_from(envelope.message.app(), now_cycle);
-            if !self.rx.accept(envelope.from, envelope.seq) {
+            if !self.accept(envelope.from, envelope.seq) {
                 out.extend(self.respond_to_duplicate(*envelope, now_cycle));
                 continue;
             }
@@ -1376,14 +1415,20 @@ mod tests {
                 .all(|(a, b)| a.0 <= b.0),
             "index out of heard order: {index:?}"
         );
-        for (&app, &heard) in &rm.last_heartbeat {
-            assert!(
-                index.contains(&(heard, app)),
-                "{app} heard at {heard} has no live entry"
-            );
+        for (&app, record) in &rm.records {
+            if let Some(heard) = record.heard {
+                assert!(
+                    index.contains(&(heard, app)),
+                    "{app} heard at {heard} has no live entry"
+                );
+            }
         }
         if let Some(&(heard, app)) = index.front() {
-            assert_eq!(rm.last_heartbeat.get(&app), Some(&heard), "stale front");
+            assert_eq!(
+                rm.records.get(&app).and_then(|r| r.heard),
+                Some(heard),
+                "stale front"
+            );
         }
     }
 

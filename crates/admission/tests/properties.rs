@@ -1,6 +1,6 @@
 //! Property-based tests for the admission-control layer.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use autoplat_admission::app::{AppId, Application};
 use autoplat_admission::client::{Client, RetryPolicy, TransmitDecision};
@@ -751,6 +751,95 @@ proptest! {
                     rm.next_deadline()
                 ),
             }
+        }
+    }
+
+    /// The RM suppresses exactly the duplicates a set of every
+    /// `(sender, seq)` it accepted finds, where a client's departure
+    /// forgets the seqs heard from that client: random batches mixing
+    /// envelopes from the message's own client, from another client and
+    /// from the RM endpoint, seqs that repeat and seqs at the top of the
+    /// range (heartbeats reuse `u64::MAX`), terminations, and polls whose
+    /// watchdog reclaims silent clients. An empty batch is a poll.
+    #[test]
+    fn rm_dedup_answers_like_a_set_forgetting_departed_clients(
+        timeout in 20u64..200,
+        ops in proptest::collection::vec(
+            (0u64..60, proptest::collection::vec((0u8..5, 0u32..5, 0u8..4, 0u8..8), 0..5)),
+            1..80,
+        ),
+    ) {
+        // Apps 0–3 are registered, app 4 is refused. Retries and
+        // quarantine never trigger, so membership follows the messages.
+        let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 0.0)
+            .with_watchdog(WatchdogConfig {
+                timeout_cycles: timeout,
+                quarantine_threshold: u32::MAX,
+                quarantine_cooldown_cycles: 0,
+            })
+            .with_retry(RetryPolicy::new(NEVER_RETRY, 3));
+        for n in 0..4u32 {
+            rm.register(Application::best_effort(AppId(n), n));
+        }
+        let mut seen: HashSet<(Endpoint, u64)> = HashSet::new();
+        let mut duplicates = 0u64;
+        let mut active: BTreeSet<u32> = BTreeSet::new();
+        let mut now = 0u64;
+        for (dt, batch) in &ops {
+            now += dt;
+            if batch.is_empty() {
+                let _ = rm.poll(now);
+                for app in rm.take_departures() {
+                    active.remove(&app.0);
+                    seen.retain(|&(peer, _)| peer != Endpoint::Client(app));
+                }
+            } else {
+                let envelopes: Vec<Envelope> = batch
+                    .iter()
+                    .map(|&(kind, app, sender, seq)| {
+                        let message = match kind {
+                            0 => ControlMessage::Activation { app: AppId(app) },
+                            1 => ControlMessage::Termination { app: AppId(app) },
+                            2 => ControlMessage::Heartbeat { app: AppId(app) },
+                            3 => ControlMessage::Ack { app: AppId(app), of_seq: 0 },
+                            _ => ControlMessage::Stop { app: AppId(app) },
+                        };
+                        let from = match sender {
+                            0 | 1 => Endpoint::Client(AppId(app)),
+                            2 => Endpoint::Client(AppId((app + 1) % 5)),
+                            _ => Endpoint::Rm,
+                        };
+                        let seq = match seq {
+                            6 => u64::MAX,
+                            7 => u64::MAX - 1,
+                            s => u64::from(s),
+                        };
+                        Envelope { from, to: Endpoint::Rm, seq, sent_at_cycle: now, message }
+                    })
+                    .collect();
+                let mut departed = Vec::new();
+                for e in &envelopes {
+                    if !seen.insert((e.from, e.seq)) {
+                        duplicates += 1;
+                        continue;
+                    }
+                    match e.message {
+                        ControlMessage::Activation { app } if app.0 < 4 => {
+                            active.insert(app.0);
+                        }
+                        ControlMessage::Termination { app } if active.remove(&app.0) => {
+                            departed.push(app);
+                            seen.retain(|&(peer, _)| peer != Endpoint::Client(app));
+                        }
+                        _ => {}
+                    }
+                }
+                let _ = rm.receive_batch(&envelopes, now);
+                prop_assert_eq!(rm.take_departures(), departed, "batch at {}", now);
+            }
+            prop_assert_eq!(rm.duplicates_suppressed(), duplicates, "at {}", now);
+            let ids: BTreeSet<u32> = rm.active().iter().map(|a| a.id.0).collect();
+            prop_assert_eq!(&ids, &active, "at {}", now);
         }
     }
 }
