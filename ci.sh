@@ -34,15 +34,16 @@ echo "== cargo test --release (event queue, scheduler, cache, DRAM, admission, N
 # Release builds turn overflow checks and debug_asserts off; the
 # scheduler's time accounting and queue bitset, the cache's flat sets and
 # per-flow state, the admission RMs' cycle arithmetic, heard-order
-# watchdog index, per-client records and sequence windows (whose floor
-# stops at u64::MAX, the top seq being a flag), the fleet's hashed timer
-# wheel, and the NoC's ring index wrap, bitset arithmetic, hashed in-flight
-# table and drained completion queue must hold without them too. The
-# allocation gates run here as well: the event kernel's fixed handful per
-# engine and the scheduler's per-run bound, the co-sim's
+# watchdog index, per-client records and the sequence windows every
+# receiver (client, RM, cluster RM, root) deduplicates through (whose
+# floor stops at u64::MAX, the top seq being a flag), the fleet's hashed
+# timer wheel, and the NoC's ring index wrap, bitset arithmetic, hashed
+# in-flight table and drained completion queue must hold without them
+# too. The allocation gates run here as well: the event kernel's fixed
+# handful per engine and the scheduler's per-run bound, the co-sim's
 # allocations-per-packet bound and horizon-flat peak of live bytes, the
-# RM's heartbeat-flat live bytes, and the platform's per-access bound and
-# golden reports. The DRAM crate runs
+# RM's heartbeat-flat and the root's bundle-flat live bytes, and the
+# platform's per-access bound and golden reports. The DRAM crate runs
 # here because its streaming channel (with costs cached at construction)
 # serves the paper pass and every co-sim, and its FR-FCFS controller the
 # WCD sweeps.

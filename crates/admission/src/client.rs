@@ -18,7 +18,7 @@ use autoplat_netcalc::TokenBucket;
 
 use crate::app::AppId;
 use crate::error::AdmissionError;
-use crate::protocol::{ControlMessage, Endpoint, Envelope, ReceiveState};
+use crate::protocol::{ControlMessage, Endpoint, Envelope, SeqWindow};
 
 /// Client state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,7 +171,10 @@ pub struct Client {
     next_heartbeat_cycle: u64,
     next_seq: u64,
     pending: Option<Pending>,
-    rx: ReceiveState,
+    /// The seqs accepted from the RM, the only endpoint that addresses
+    /// clients.
+    rx: SeqWindow,
+    duplicates: u64,
     inbox: Vec<Envelope>,
     retransmissions: u64,
     heartbeats_sent: u64,
@@ -214,7 +217,8 @@ impl Client {
             next_heartbeat_cycle: heartbeat_interval_cycles,
             next_seq: 0,
             pending: None,
-            rx: ReceiveState::new(),
+            rx: SeqWindow::default(),
+            duplicates: 0,
             inbox: Vec::new(),
             retransmissions: 0,
             heartbeats_sent: 0,
@@ -360,7 +364,7 @@ impl Client {
 
     /// Duplicated deliveries this client suppressed.
     pub fn duplicates_suppressed(&self) -> u64 {
-        self.rx.duplicates_suppressed()
+        self.duplicates
     }
 
     /// True when a send exhausted its retry budget without an ack.
@@ -514,8 +518,9 @@ impl Client {
             }
             _ => {}
         }
-        let fresh = self.rx.accept(envelope.from, envelope.seq);
-        if !fresh {
+        debug_assert_eq!(envelope.from, Endpoint::Rm, "only the RM addresses clients");
+        if !self.rx.insert(envelope.seq) {
+            self.duplicates += 1;
             // Duplicate: do not reprocess, but re-ack — the previous ack
             // may itself have been lost.
             if envelope.message.needs_ack() {

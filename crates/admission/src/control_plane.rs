@@ -121,11 +121,6 @@ impl<T: Payload> Link<T> {
         &self.injector
     }
 
-    /// Due client-level faults, delegated to the injector.
-    pub fn take_client_faults_due(&mut self, now_cycle: u64) -> Vec<autoplat_sim::ClientFault> {
-        self.injector.take_client_faults_due(now_cycle)
-    }
-
     /// Submits `payload` at `now_cycle`; the injector decides its fate.
     pub fn send(&mut self, now_cycle: u64, payload: T) {
         self.sent += 1;
@@ -176,11 +171,6 @@ impl<T: Payload> Link<T> {
         let mut due = Vec::new();
         self.drain_due(now_cycle, &mut due);
         due
-    }
-
-    /// The next cycle at which a scripted client fault fires.
-    pub fn next_client_fault_cycle(&self) -> Option<u64> {
-        self.injector.next_client_fault_cycle()
     }
 
     /// True when nothing is in flight.

@@ -18,8 +18,8 @@
 //! costs O(due work) per kick rather than O(clients).
 //!
 //! A kick also costs what it delivers, not bookkeeping: the planes drain
-//! into buffers the sim keeps across kicks (the drain buffers, the
-//! per-cluster inboxes, the root-bound and down-bound bundle lists), the
+//! into buffers the sim keeps across kicks (the per-cluster inboxes, the
+//! bundle drain buffer, the root-bound and down-bound bundle lists), the
 //! wheel arms a timer with one hashed push and reuses the id lists of
 //! fired cycles, the RMs keep one hashed record per client and their
 //! watchdog in a heard-order index, and the sim caches each cluster's
@@ -389,8 +389,6 @@ impl TimerWheel {
 /// once they have grown a kick allocates none of them.
 #[derive(Debug, Default)]
 struct KickBuffers {
-    /// What one client plane delivered this kick.
-    delivered: Vec<Envelope>,
     /// RM-bound envelopes per cluster (the one flat RM's at index 0).
     inboxes: Vec<Vec<Envelope>>,
     /// What the bundle plane delivered this kick.
@@ -445,6 +443,38 @@ fn heartbeat(id: u32, now: u64) -> Envelope {
         sent_at_cycle: now,
         message: ControlMessage::Heartbeat { app: AppId(id) },
     }
+}
+
+/// Drains what `plane` delivers by `now` into `inbox`, in delivery order,
+/// and keeps only the RM-bound envelopes there: each client-bound one is
+/// applied to its client, whose reply goes straight back onto the plane.
+fn drain_client_plane(
+    plane: &mut ControlPlane,
+    inbox: &mut Vec<Envelope>,
+    clients: &mut [FleetClient],
+    wheel: &mut TimerWheel,
+    counts: &mut Counts,
+    heartbeat_interval: u64,
+    now: u64,
+) {
+    plane.drain_due(now, inbox);
+    inbox.retain(|envelope| match envelope.to {
+        Endpoint::Rm => true,
+        Endpoint::Client(app) => {
+            if let Some(reply) = deliver_to_client(
+                &mut clients[app.0 as usize],
+                wheel,
+                counts,
+                heartbeat_interval,
+                app.0,
+                envelope,
+                now,
+            ) {
+                plane.send(now, reply);
+            }
+            false
+        }
+    });
 }
 
 /// Applies one RM→client envelope to the client state machine, returning
@@ -550,7 +580,6 @@ impl FleetSim {
                 .with_watchdog(cfg.watchdog)
                 .with_retry(cfg.rm_retry)
                 .with_delta_confs(true);
-                rm.set_logging(false);
                 for i in 0..cfg.clients {
                     rm.register(app_for(i));
                 }
@@ -573,7 +602,7 @@ impl FleetSim {
                     // shard policy's f64 sum from spuriously tripping on
                     // rounding when a shard holds nearly the whole
                     // budget.
-                    let mut inner = ResourceManager::new(
+                    let inner = ResourceManager::new(
                         WeightedPolicy::new(capacity + 1.0, BURST, 0.0),
                         cfg.client_latency_cycles as f64,
                     )
@@ -581,7 +610,6 @@ impl FleetSim {
                     .with_retry(cfg.rm_retry)
                     .with_delta_confs(true)
                     .with_preapproved(true);
-                    inner.set_logging(false);
                     cluster_rms.push(ClusterRm::new(
                         ClusterId(c),
                         inner,
@@ -719,7 +747,6 @@ impl FleetSim {
     fn process_planes(&mut self, now: u64) {
         let heartbeat_interval = self.cfg.heartbeat_interval_cycles;
         let KickBuffers {
-            delivered,
             inboxes,
             frames,
             to_root,
@@ -728,25 +755,15 @@ impl FleetSim {
         match &mut self.topo {
             Topo::Flat { rm, plane } => {
                 let inbox = &mut inboxes[0];
-                plane.drain_due(now, delivered);
-                for envelope in delivered.drain(..) {
-                    match envelope.to {
-                        Endpoint::Rm => inbox.push(envelope),
-                        Endpoint::Client(app) => {
-                            if let Some(reply) = deliver_to_client(
-                                &mut self.clients[app.0 as usize],
-                                &mut self.wheel,
-                                &mut self.counts,
-                                heartbeat_interval,
-                                app.0,
-                                &envelope,
-                                now,
-                            ) {
-                                plane.send(now, reply);
-                            }
-                        }
-                    }
-                }
+                drain_client_plane(
+                    plane,
+                    inbox,
+                    &mut self.clients,
+                    &mut self.wheel,
+                    &mut self.counts,
+                    heartbeat_interval,
+                    now,
+                );
                 if !inbox.is_empty() {
                     self.queue_depth.record(inbox.len() as f64);
                 }
@@ -769,25 +786,15 @@ impl FleetSim {
             } => {
                 let n = cluster_rms.len();
                 for (plane, inbox) in planes.iter_mut().zip(inboxes.iter_mut()) {
-                    plane.drain_due(now, delivered);
-                    for envelope in delivered.drain(..) {
-                        match envelope.to {
-                            Endpoint::Rm => inbox.push(envelope),
-                            Endpoint::Client(app) => {
-                                if let Some(reply) = deliver_to_client(
-                                    &mut self.clients[app.0 as usize],
-                                    &mut self.wheel,
-                                    &mut self.counts,
-                                    heartbeat_interval,
-                                    app.0,
-                                    &envelope,
-                                    now,
-                                ) {
-                                    plane.send(now, reply);
-                                }
-                            }
-                        }
-                    }
+                    drain_client_plane(
+                        plane,
+                        inbox,
+                        &mut self.clients,
+                        &mut self.wheel,
+                        &mut self.counts,
+                        heartbeat_interval,
+                        now,
+                    );
                 }
                 bundle_plane.drain_due(now, frames);
                 for frame in frames.drain(..) {

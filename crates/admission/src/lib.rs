@@ -11,7 +11,7 @@
 //!
 //! * [`app`] — applications with criticality and bandwidth demands;
 //! * [`protocol`] — the four control messages (`actMsg`, `terMsg`,
-//!   `stopMsg`, `confMsg`) and the message trace;
+//!   `stopMsg`, `confMsg`) and the per-kind message counts;
 //! * [`modes`] — **system modes** (defined by the number of currently
 //!   active applications) and the rate policies of Fig. 7: symmetric
 //!   (rates shrink uniformly with the mode) and non-symmetric
@@ -44,12 +44,11 @@
 //! use autoplat_admission::app::{AppId, Application, Importance};
 //! use autoplat_admission::modes::SymmetricPolicy;
 //! use autoplat_admission::rm::ResourceManager;
-//! use autoplat_sim::SimTime;
 //!
 //! let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0);
-//! let a = rm.request_admission(Application::best_effort(AppId(0), 0), SimTime::ZERO);
+//! let a = rm.request_admission(Application::best_effort(AppId(0), 0));
 //! assert!(a.admitted);
-//! let b = rm.request_admission(Application::best_effort(AppId(1), 1), SimTime::ZERO);
+//! let b = rm.request_admission(Application::best_effort(AppId(1), 1));
 //! // Two active apps: each now gets half the capacity.
 //! let rate_a = b.rates.iter().find(|(id, _)| *id == AppId(0)).expect("present").1;
 //! assert!((rate_a.rate() - 0.5).abs() < 1e-12);
@@ -74,7 +73,7 @@ pub use fleet::{FleetConfig, FleetOutcome, FleetSim, FleetTopology};
 pub use modes::{RatePolicy, SymmetricPolicy, SystemMode, WeightedPolicy};
 pub use protocol::{
     BundleFrame, BundleItem, ClusterBundle, ClusterId, ControlMessage, Endpoint, Envelope,
-    GrantDecision, ReceiveState, RootBundle,
+    GrantDecision, RootBundle,
 };
 pub use rm::cluster::{ClusterRm, ClusterStep};
 pub use rm::root::RootArbiter;

@@ -17,16 +17,19 @@
 //! * `rejMsg` — explicit admission refusal, so a refused client stops
 //!   retransmitting its `actMsg`.
 //!
-//! Messages travel in sequence-numbered [`Envelope`]s; receivers keep a
-//! sequence window per peer (a client in its [`ReceiveState`], the RM in
-//! each client's record) so duplicated deliveries (retransmission or
-//! fault injection) are processed exactly once.
-
-use autoplat_sim::hash::FxHashMap;
-use autoplat_sim::SimTime;
+//! Messages travel in sequence-numbered [`Envelope`]s, and every receiver
+//! keeps one sequence window per sender — a client for the RM, the RM in
+//! each client's record, a cluster RM for the root and the root for each
+//! cluster — so duplicated deliveries (retransmission or fault injection)
+//! are processed exactly once.
 
 use crate::app::AppId;
 use crate::modes::SystemMode;
+
+/// The protocol name of each [`ControlMessage`] kind, in declaration order.
+const MESSAGE_NAMES: [&str; 7] = [
+    "actMsg", "terMsg", "stopMsg", "confMsg", "ackMsg", "hbMsg", "rejMsg",
+];
 
 /// A control-layer message.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -96,14 +99,19 @@ impl ControlMessage {
     /// Short protocol name (`actMsg`, `terMsg`, `stopMsg`, `confMsg`, and
     /// the extensions `ackMsg`, `hbMsg`, `rejMsg`).
     pub fn name(&self) -> &'static str {
+        MESSAGE_NAMES[self.kind()]
+    }
+
+    /// The message's position in [`MESSAGE_NAMES`].
+    fn kind(&self) -> usize {
         match self {
-            ControlMessage::Activation { .. } => "actMsg",
-            ControlMessage::Termination { .. } => "terMsg",
-            ControlMessage::Stop { .. } => "stopMsg",
-            ControlMessage::Config { .. } => "confMsg",
-            ControlMessage::Ack { .. } => "ackMsg",
-            ControlMessage::Heartbeat { .. } => "hbMsg",
-            ControlMessage::Refusal { .. } => "rejMsg",
+            ControlMessage::Activation { .. } => 0,
+            ControlMessage::Termination { .. } => 1,
+            ControlMessage::Stop { .. } => 2,
+            ControlMessage::Config { .. } => 3,
+            ControlMessage::Ack { .. } => 4,
+            ControlMessage::Heartbeat { .. } => 5,
+            ControlMessage::Refusal { .. } => 6,
         }
     }
 
@@ -126,19 +134,11 @@ impl std::fmt::Display for ControlMessage {
     }
 }
 
-/// A timestamped record of one protocol message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MessageRecord {
-    /// When the message was sent.
-    pub at: SimTime,
-    /// The message.
-    pub message: ControlMessage,
-}
-
-/// The RM-side protocol trace: every message sent or received, in order.
+/// The RM-side protocol trace: how many messages of each kind were sent
+/// or received.
 #[derive(Debug, Clone, Default)]
 pub struct MessageLog {
-    records: Vec<MessageRecord>,
+    counts: [usize; MESSAGE_NAMES.len()],
 }
 
 impl MessageLog {
@@ -147,32 +147,27 @@ impl MessageLog {
         MessageLog::default()
     }
 
-    /// Appends a message.
-    pub fn record(&mut self, at: SimTime, message: ControlMessage) {
-        self.records.push(MessageRecord { at, message });
-    }
-
-    /// All records in order.
-    pub fn records(&self) -> &[MessageRecord] {
-        &self.records
+    /// Counts a message.
+    pub fn record(&mut self, message: ControlMessage) {
+        self.counts[message.kind()] += 1;
     }
 
     /// Number of messages with the given protocol name.
     pub fn count(&self, name: &str) -> usize {
-        self.records
+        MESSAGE_NAMES
             .iter()
-            .filter(|r| r.message.name() == name)
-            .count()
+            .position(|&n| n == name)
+            .map_or(0, |kind| self.counts[kind])
     }
 
     /// Total messages.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.counts.iter().sum()
     }
 
     /// True when nothing was logged.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 }
 
@@ -197,9 +192,9 @@ impl std::fmt::Display for Endpoint {
 /// A sequence-numbered control message in flight between two endpoints.
 ///
 /// Sequence numbers are per *sender* endpoint and strictly increasing, so
-/// a receiver's sequence window (a client's [`ReceiveState`], an RM's
-/// per-client record) can discard duplicated deliveries while tolerating
-/// reordering.
+/// the receiver's sequence window for that sender can discard duplicated
+/// deliveries while tolerating reordering. Only the RM addresses clients,
+/// so a client has one sender and one window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope {
     /// Sender.
@@ -214,47 +209,22 @@ pub struct Envelope {
     pub message: ControlMessage,
 }
 
-/// Per-peer duplicate suppression for idempotent receive handling.
-///
-/// Tracks which sequence numbers have been accepted from each peer; a
-/// duplicated delivery (fault injection or retransmission racing an ack)
-/// is reported once and ignored afterwards. Reordered deliveries are
-/// accepted: each peer's window remembers exactly which seqs it took (a
-/// floor plus the seqs above it), not a high-water mark. Peers are only
-/// ever looked up, so they are hashed. A client runs one of these for
-/// the envelopes the RM sends it; the RM keeps each client's window in
-/// that client's own record instead (see
-/// [`ResourceManager`](crate::rm::ResourceManager)).
-///
-/// # Examples
-///
-/// ```
-/// use autoplat_admission::protocol::{Endpoint, ReceiveState};
-///
-/// let mut rx = ReceiveState::new();
-/// assert!(rx.accept(Endpoint::Rm, 0));
-/// assert!(rx.accept(Endpoint::Rm, 2)); // reordered: still accepted
-/// assert!(!rx.accept(Endpoint::Rm, 0)); // duplicate: suppressed
-/// assert_eq!(rx.duplicates_suppressed(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReceiveState {
-    seen: FxHashMap<Endpoint, SeqWindow>,
-    duplicates: u64,
-}
-
-/// The seqs accepted from one peer, answering exactly like a set of
+/// The seqs accepted from one sender, answering exactly like a set of
 /// every seq it took: every seq below `floor`, those in `above` (sorted
 /// ascending, all above the floor and below `u64::MAX`), and `u64::MAX`
-/// itself when `top` is set. Accepting the floor advances it through
-/// the run of seqs `above` already holds, so a peer whose seqs count up,
-/// as a client's envelopes to the RM do, costs O(1) state however long
-/// it runs. A sparse stream keeps one `above` entry per accepted seq: the
-/// RM numbers its envelopes to every client from one counter, so a
-/// client's window holds every seq it accepted above its floor. The top
-/// seq, which every fleet heartbeat reuses, is a flag rather than an
-/// entry: the floor never reaches past it, and a heartbeat then touches
-/// no list.
+/// itself when `top` is set. Every receiver deduplicates through these:
+/// a client for the RM, the RM in each client's record, a cluster RM for
+/// the root's bundles and the root for each cluster's. Accepting the
+/// floor advances it through the run of seqs `above` already holds, so a
+/// sender whose seqs count up, as a client's envelopes to the RM and a
+/// cluster's bundles to the root do, costs O(1) state however long it
+/// runs. A sparse stream keeps one `above` entry per accepted seq: the
+/// RM numbers its envelopes to every client from one counter, and the
+/// root its bundles to every cluster, so a client's or a cluster's
+/// window holds every seq it accepted above its floor. The top seq,
+/// which every fleet heartbeat reuses, is a flag rather than an entry:
+/// the floor never reaches past it, and a heartbeat then touches no
+/// list.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SeqWindow {
     floor: u64,
@@ -288,34 +258,6 @@ impl SeqWindow {
                 true
             }
         }
-    }
-}
-
-impl ReceiveState {
-    /// Creates an empty receive window.
-    pub fn new() -> Self {
-        ReceiveState::default()
-    }
-
-    /// Returns true when `(peer, seq)` is fresh and records it; false for
-    /// an already-processed duplicate.
-    pub fn accept(&mut self, peer: Endpoint, seq: u64) -> bool {
-        let fresh = self.seen.entry(peer).or_default().insert(seq);
-        if !fresh {
-            self.duplicates += 1;
-        }
-        fresh
-    }
-
-    /// How many duplicated deliveries were suppressed.
-    pub fn duplicates_suppressed(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Forgets everything heard from `peer` (e.g. after it crashes and a
-    /// fresh client re-registers with sequence numbers starting over).
-    pub fn forget(&mut self, peer: Endpoint) {
-        self.seen.remove(&peer);
     }
 }
 
@@ -496,14 +438,15 @@ mod tests {
     fn log_counts() {
         let mut log = MessageLog::new();
         assert!(log.is_empty());
-        log.record(SimTime::ZERO, ControlMessage::Activation { app: AppId(0) });
-        log.record(SimTime::ZERO, ControlMessage::Stop { app: AppId(0) });
-        log.record(SimTime::ZERO, ControlMessage::Stop { app: AppId(1) });
+        log.record(ControlMessage::Activation { app: AppId(0) });
+        log.record(ControlMessage::Stop { app: AppId(0) });
+        log.record(ControlMessage::Stop { app: AppId(1) });
         assert_eq!(log.count("stopMsg"), 2);
         assert_eq!(log.count("actMsg"), 1);
         assert_eq!(log.count("terMsg"), 0);
+        assert_eq!(log.count("noMsg"), 0);
         assert_eq!(log.len(), 3);
-        assert_eq!(log.records().len(), 3);
+        assert!(!log.is_empty());
     }
 
     #[test]
@@ -595,21 +538,6 @@ mod tests {
         assert_eq!(BundleFrame::Up(stateful).class(), "bundleMsg");
         assert_eq!(BundleFrame::Down(decisions).class(), "grantMsg");
         assert_eq!(ClusterId(2).to_string(), "cluster2");
-    }
-
-    #[test]
-    fn receive_state_suppresses_duplicates_only() {
-        let mut rx = ReceiveState::new();
-        let peer = Endpoint::Client(AppId(0));
-        assert!(rx.accept(peer, 0));
-        assert!(rx.accept(peer, 1));
-        assert!(!rx.accept(peer, 1));
-        assert!(!rx.accept(peer, 0));
-        // Other peers have independent windows.
-        assert!(rx.accept(Endpoint::Client(AppId(1)), 0));
-        assert_eq!(rx.duplicates_suppressed(), 2);
-        rx.forget(peer);
-        assert!(rx.accept(peer, 0), "forgotten peers start fresh");
     }
 
     #[test]

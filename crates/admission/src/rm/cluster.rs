@@ -20,14 +20,14 @@
 //! sequence number, so a delayed-then-retransmitted `grantMsg` cannot
 //! double-apply decisions.
 
-use std::collections::BTreeSet;
-
 use autoplat_sim::hash::FxHashMap;
 
 use crate::app::AppId;
 use crate::client::RetryPolicy;
 use crate::modes::RatePolicy;
-use crate::protocol::{BundleItem, ClusterBundle, ClusterId, Envelope, GrantDecision, RootBundle};
+use crate::protocol::{
+    BundleItem, ClusterBundle, ClusterId, Envelope, GrantDecision, RootBundle, SeqWindow,
+};
 use crate::rm::ResourceManager;
 
 /// The reliable bundle the cluster keeps retransmitting until acked.
@@ -71,7 +71,7 @@ pub struct ClusterRm<P> {
     pending: Option<PendingBundle>,
     next_bundle_seq: u64,
     /// Root bundle sequence numbers already applied (the dedup guard).
-    seen_root_seqs: BTreeSet<u64>,
+    seen_root_seqs: SeqWindow,
     /// Cycle of the last bundle handed to the plane, for the heartbeat
     /// digest cadence.
     last_emit_cycle: Option<u64>,
@@ -107,7 +107,7 @@ impl<P: RatePolicy> ClusterRm<P> {
             ack_items: Vec::new(),
             pending: None,
             next_bundle_seq: 0,
-            seen_root_seqs: BTreeSet::new(),
+            seen_root_seqs: SeqWindow::default(),
             last_emit_cycle: None,
             heartbeat_interval_cycles,
             bundles_sent: 0,

@@ -11,7 +11,7 @@
 //! feasibility check:
 //!
 //! * the **instantaneous** API ([`request_admission`], [`terminate`]) used
-//!   when the control plane is ideal — messages are only logged, never
+//!   when the control plane is ideal — messages are only counted, never
 //!   lost, rounds complete atomically, and each call returns its round's
 //!   rates;
 //! * the **message-driven** API ([`receive_batch`], [`poll`]) used under
@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use autoplat_netcalc::TokenBucket;
 use autoplat_sim::hash::{FxHashMap, FxHashSet};
-use autoplat_sim::{SimDuration, SimTime};
+use autoplat_sim::SimDuration;
 
 use crate::app::{AppId, Application};
 use crate::client::RetryPolicy;
@@ -157,10 +157,9 @@ pub struct AdmissionOutcome {
 /// ```
 /// use autoplat_admission::{ResourceManager, Application, AppId};
 /// use autoplat_admission::modes::SymmetricPolicy;
-/// use autoplat_sim::SimTime;
 ///
 /// let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 50.0);
-/// let out = rm.request_admission(Application::best_effort(AppId(0), 0), SimTime::ZERO);
+/// let out = rm.request_admission(Application::best_effort(AppId(0), 0));
 /// assert!(out.admitted);
 /// assert_eq!(rm.mode().0, 1);
 /// ```
@@ -242,10 +241,6 @@ pub struct ResourceManager<P> {
     /// always get one). Off by default: the paper's protocol re-confirms
     /// every client on every transition.
     delta_confs: bool,
-    /// When cleared, the RM stops appending to its [`MessageLog`] (the
-    /// per-message trace is O(total messages) memory — prohibitive at
-    /// fleet scale).
-    logging: bool,
     /// When set, activations skip the policy feasibility check (and its
     /// O(active) contract round): an upstream arbiter — the root of the
     /// hierarchy — has already guaranteed the set is feasible. Quarantine,
@@ -297,7 +292,6 @@ impl<P: RatePolicy> ResourceManager<P> {
             conf_retry_index: BTreeSet::new(),
             last_rates: FxHashMap::default(),
             delta_confs: false,
-            logging: true,
             preapproved: false,
             departures: Vec::new(),
             reclamations: 0,
@@ -333,11 +327,6 @@ impl<P: RatePolicy> ResourceManager<P> {
         self
     }
 
-    /// Enables or disables the per-message [`MessageLog`].
-    pub fn set_logging(&mut self, on: bool) {
-        self.logging = on;
-    }
-
     /// The current system mode.
     pub fn mode(&self) -> SystemMode {
         SystemMode(self.active.len())
@@ -364,16 +353,22 @@ impl<P: RatePolicy> ResourceManager<P> {
         self.active.push(app);
     }
 
-    /// Removes `app` from the active set; `true` when it was present.
-    fn deactivate(&mut self, app: AppId) -> bool {
+    /// The one path by which a client leaves — termination (either API)
+    /// or reclamation: removes `app` from the active set and, when it was
+    /// active, counts the mode change, records the departure and drops
+    /// every per-client obligation towards it. `true` when it was active.
+    fn depart(&mut self, app: AppId) -> bool {
         if !self.active_ids.remove(&app) {
             return false;
         }
         self.active.retain(|a| a.id != app);
+        self.mode_changes += 1;
+        self.departures.push(app);
+        self.release(app);
         true
     }
 
-    /// The protocol message log.
+    /// How many protocol messages of each kind the RM sent or received.
     pub fn log(&self) -> &MessageLog {
         &self.log
     }
@@ -395,56 +390,54 @@ impl<P: RatePolicy> ResourceManager<P> {
         self.overhead
     }
 
-    /// Processes an `actMsg`: attempts to admit `app` at `now`.
+    /// Processes an `actMsg`: attempts to admit `app`.
     ///
     /// On success the system transitions to the next mode and every
     /// active client is re-configured (stop + config round). On failure
     /// (the policy cannot serve the resulting set) the system state is
-    /// unchanged.
-    pub fn request_admission(&mut self, app: Application, now: SimTime) -> AdmissionOutcome {
-        self.log_msg(now, ControlMessage::Activation { app: app.id });
-        match self.contracts_with(app) {
-            Some(rates) => {
+    /// unchanged. An application that is already active is not admitted
+    /// twice: the call changes nothing and reports it admitted, with the
+    /// current mode and rates.
+    pub fn request_admission(&mut self, app: Application) -> AdmissionOutcome {
+        self.log.record(ControlMessage::Activation { app: app.id });
+        let already_active = self.is_active(app.id);
+        if !already_active {
+            if let Some(rates) = self.contracts_with(app) {
                 self.activate(app);
                 self.mode_changes += 1;
                 let mode = self.mode();
-                self.reconfigure(now, &rates, mode);
-                AdmissionOutcome {
+                self.reconfigure(&rates, mode);
+                return AdmissionOutcome {
                     admitted: true,
                     mode,
                     rates,
-                }
+                };
             }
-            None => {
-                self.rejections += 1;
-                let mode = self.mode();
-                let rates = self.policy.contracts(&self.active).unwrap_or_default();
-                AdmissionOutcome {
-                    admitted: false,
-                    mode,
-                    rates,
-                }
-            }
+            self.rejections += 1;
+        }
+        AdmissionOutcome {
+            admitted: already_active,
+            mode: self.mode(),
+            rates: self.policy.contracts(&self.active).unwrap_or_default(),
         }
     }
 
-    /// Processes a `terMsg`: removes `app`, reconfigures the rest and
-    /// returns the rates of that round, in active order.
+    /// Processes a `terMsg`: removes `app` with every obligation towards
+    /// it (a pending `confMsg`, watchdog monitoring), reconfigures the rest
+    /// and returns the rates of that round, in active order.
     ///
     /// Unknown applications are ignored (idempotent termination): no round
     /// runs and the result is empty.
-    pub fn terminate(&mut self, app: AppId, now: SimTime) -> Vec<(AppId, TokenBucket)> {
-        self.log_msg(now, ControlMessage::Termination { app });
-        if !self.deactivate(app) {
+    pub fn terminate(&mut self, app: AppId) -> Vec<(AppId, TokenBucket)> {
+        self.log.record(ControlMessage::Termination { app });
+        if !self.depart(app) {
             return Vec::new();
         }
-        self.mode_changes += 1;
-        self.departures.push(app);
         let mode = self.mode();
         let Some(rates) = self.policy.contracts(&self.active) else {
             return Vec::new();
         };
-        self.reconfigure(now, &rates, mode);
+        self.reconfigure(&rates, mode);
         rates
     }
 
@@ -456,12 +449,6 @@ impl<P: RatePolicy> ResourceManager<P> {
         let rates = self.policy.contracts(&self.active);
         self.active.pop();
         rates
-    }
-
-    fn log_msg(&mut self, at: SimTime, message: ControlMessage) {
-        if self.logging {
-            self.log.record(at, message);
-        }
     }
 
     /// Starts (or refreshes) watchdog monitoring of `app` as heard at
@@ -556,20 +543,14 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// active client receives a `stopMsg` and a `confMsg`; the round's
     /// duration is two message latencies (stop fan-out, config fan-out),
     /// during which senders are blocked.
-    fn reconfigure(&mut self, now: SimTime, rates: &[(AppId, TokenBucket)], mode: SystemMode) {
-        for (app, _) in rates {
-            self.log_msg(now, ControlMessage::Stop { app: *app });
-        }
-        let config_at = now + SimDuration::from_ns(self.message_latency_ns);
-        for (app, tb) in rates {
-            self.log_msg(
-                config_at,
-                ControlMessage::Config {
-                    app: *app,
-                    mode,
-                    rate: tb.rate(),
-                },
-            );
+    fn reconfigure(&mut self, rates: &[(AppId, TokenBucket)], mode: SystemMode) {
+        for &(app, tb) in rates {
+            self.log.record(ControlMessage::Stop { app });
+            self.log.record(ControlMessage::Config {
+                app,
+                mode,
+                rate: tb.rate(),
+            });
         }
         self.overhead += SimDuration::from_ns(2.0 * self.message_latency_ns);
     }
@@ -653,8 +634,8 @@ impl<P: RatePolicy> ResourceManager<P> {
     }
 
     /// Emits the stop + config round as envelopes and arms retransmission
-    /// for every `confMsg`. Also logs the round like the instantaneous
-    /// path, so overhead accounting stays comparable.
+    /// for every `confMsg`. Also counts the round's messages and overhead
+    /// like the instantaneous path, so the two stay comparable.
     ///
     /// Under [`with_delta_confs`](Self::with_delta_confs) the round only
     /// covers clients whose rate changed since the last round they were
@@ -665,7 +646,6 @@ impl<P: RatePolicy> ResourceManager<P> {
             .contracts(&self.active)
             .expect("active set was admitted, so rates exist");
         let mode = self.mode();
-        let now = SimTime::from_ns(now_cycle as f64);
         let mut round: Vec<(AppId, f64)> = Vec::with_capacity(rates.len());
         for (app, tb) in &rates {
             let rate = tb.rate();
@@ -677,13 +657,12 @@ impl<P: RatePolicy> ResourceManager<P> {
         }
         let mut out = Vec::with_capacity(2 * round.len());
         for &(app, _) in &round {
-            self.log_msg(now, ControlMessage::Stop { app });
+            self.log.record(ControlMessage::Stop { app });
             out.push(self.envelope_to(app, now_cycle, ControlMessage::Stop { app }));
         }
-        let conf_at = now + SimDuration::from_ns(self.message_latency_ns);
         for &(app, rate) in &round {
             let conf = ControlMessage::Config { app, mode, rate };
-            self.log_msg(conf_at, conf);
+            self.log.record(conf);
             let envelope = self.envelope_to(app, now_cycle, conf);
             // A newer round supersedes any conf still in flight to the
             // same client.
@@ -735,8 +714,8 @@ impl<P: RatePolicy> ResourceManager<P> {
         }
     }
 
-    /// Drops every per-client obligation towards `app` after it leaves
-    /// (termination or reclamation).
+    /// Drops every per-client obligation towards `app` after it
+    /// [departs](Self::depart).
     fn release(&mut self, app: AppId) {
         // A future incarnation of the client starts its sequence numbers
         // over, so its window goes with the record.
@@ -829,24 +808,16 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// Forcibly terminates `app` (presumed dead), redistributing its
     /// bandwidth to the survivors, and quarantines it when it flaps.
     fn reclaim(&mut self, app: AppId, now_cycle: u64) -> Vec<Envelope> {
-        let was_active = self.deactivate(app);
-        self.release(app);
-        if !was_active {
-            return Vec::new();
-        }
+        let departed = self.depart(app);
+        debug_assert!(departed, "the watchdog monitors only active clients");
         self.reclamations += 1;
-        self.mode_changes += 1;
-        self.departures.push(app);
         let flaps = self.reclaim_counts.entry(app).or_insert(0);
         *flaps += 1;
         if *flaps >= self.watchdog.quarantine_threshold {
             self.quarantined
                 .insert(app, now_cycle + self.watchdog.quarantine_cooldown_cycles);
         }
-        self.log_msg(
-            SimTime::from_ns(now_cycle as f64),
-            ControlMessage::Termination { app },
-        );
+        self.log.record(ControlMessage::Termination { app });
         self.reconfigure_envelopes(now_cycle)
     }
 
@@ -866,7 +837,6 @@ impl<P: RatePolicy> ResourceManager<P> {
     /// intermediate rounds (which the coalesced bundle protocol would
     /// supersede within the same step anyway) are elided.
     pub fn receive_batch(&mut self, envelopes: &[Envelope], now_cycle: u64) -> Vec<Envelope> {
-        let now = SimTime::from_ns(now_cycle as f64);
         let mut out = Vec::new();
         let mut dirty = false;
         for envelope in envelopes {
@@ -878,7 +848,7 @@ impl<P: RatePolicy> ResourceManager<P> {
             }
             match envelope.message {
                 ControlMessage::Activation { app } => {
-                    self.log_msg(now, ControlMessage::Activation { app });
+                    self.log.record(ControlMessage::Activation { app });
                     if self.is_active(app) {
                         // Already active (e.g. re-activation racing a
                         // reclamation): just re-confirm.
@@ -904,7 +874,7 @@ impl<P: RatePolicy> ResourceManager<P> {
                     dirty = true;
                 }
                 ControlMessage::Termination { app } => {
-                    self.log_msg(now, ControlMessage::Termination { app });
+                    self.log.record(ControlMessage::Termination { app });
                     out.push(self.envelope_to(
                         app,
                         now_cycle,
@@ -913,12 +883,7 @@ impl<P: RatePolicy> ResourceManager<P> {
                             of_seq: envelope.seq,
                         },
                     ));
-                    if self.deactivate(app) {
-                        self.mode_changes += 1;
-                        self.departures.push(app);
-                        self.release(app);
-                        dirty = true;
-                    }
+                    dirty |= self.depart(app);
                 }
                 ControlMessage::Heartbeat { .. } => {}
                 ControlMessage::Ack { app, of_seq } => {
@@ -976,7 +941,7 @@ mod tests {
     fn admission_transitions_modes_and_rates() {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0);
         for n in 1..=64u32 {
-            let out = rm.request_admission(be(n), SimTime::from_ns(n as f64 * 1000.0));
+            let out = rm.request_admission(be(n));
             assert!(out.admitted);
             assert_eq!(out.mode, SystemMode(n as usize));
             for (_, tb) in &out.rates {
@@ -990,13 +955,13 @@ mod tests {
     #[test]
     fn termination_restores_rates() {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0);
-        let _ = rm.request_admission(be(0), SimTime::ZERO);
-        let _ = rm.request_admission(be(1), SimTime::ZERO);
-        let rates = rm.terminate(AppId(1), SimTime::from_ns(5000.0));
+        let _ = rm.request_admission(be(0));
+        let _ = rm.request_admission(be(1));
+        let rates = rm.terminate(AppId(1));
         assert_eq!(rm.mode(), SystemMode(1));
         assert_eq!(rates, vec![(AppId(0), TokenBucket::new(8.0, 1.0))]);
         // Unknown termination is idempotent: no round, no rates.
-        assert!(rm.terminate(AppId(9), SimTime::from_ns(6000.0)).is_empty());
+        assert!(rm.terminate(AppId(9)).is_empty());
         assert_eq!(rm.mode(), SystemMode(1));
         assert_eq!(rm.mode_changes(), 3);
     }
@@ -1004,9 +969,9 @@ mod tests {
     #[test]
     fn weighted_policy_rejects_over_guarantee() {
         let mut rm = ResourceManager::new(WeightedPolicy::new(1.0, 4.0, 0.0), 100.0);
-        let a = rm.request_admission(Application::critical(AppId(0), 0, 700), SimTime::ZERO);
+        let a = rm.request_admission(Application::critical(AppId(0), 0, 700));
         assert!(a.admitted);
-        let b = rm.request_admission(Application::critical(AppId(1), 1, 700), SimTime::ZERO);
+        let b = rm.request_admission(Application::critical(AppId(1), 1, 700));
         assert!(!b.admitted, "1.4 > capacity 1.0");
         assert_eq!(rm.mode(), SystemMode(1), "state unchanged on rejection");
         assert_eq!(rm.rejections(), 1);
@@ -1015,41 +980,55 @@ mod tests {
     #[test]
     fn protocol_trace_per_round() {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0);
-        let _ = rm.request_admission(be(0), SimTime::ZERO);
+        let _ = rm.request_admission(be(0));
         // Round 1: 1 actMsg, 1 stopMsg, 1 confMsg.
         assert_eq!(rm.log().count("actMsg"), 1);
         assert_eq!(rm.log().count("stopMsg"), 1);
         assert_eq!(rm.log().count("confMsg"), 1);
-        let _ = rm.request_admission(be(1), SimTime::ZERO);
+        let _ = rm.request_admission(be(1));
         // Round 2 adds 1 actMsg and 2 stop/conf pairs.
         assert_eq!(rm.log().count("stopMsg"), 3);
         assert_eq!(rm.log().count("confMsg"), 3);
-        // Config messages are delayed by one message latency.
-        let conf = rm
-            .log()
-            .records()
-            .iter()
-            .find(|r| r.message.name() == "confMsg")
-            .expect("exists");
-        assert_eq!(conf.at, SimTime::from_ns(100.0));
     }
 
     #[test]
     fn overhead_accumulates_per_mode_change() {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 250.0);
-        let _ = rm.request_admission(be(0), SimTime::ZERO);
-        let _ = rm.request_admission(be(1), SimTime::ZERO);
-        rm.terminate(AppId(0), SimTime::from_us(1.0));
+        let _ = rm.request_admission(be(0));
+        let _ = rm.request_admission(be(1));
+        rm.terminate(AppId(0));
         // 3 mode changes × 2 × 250 ns.
         assert_eq!(rm.total_overhead(), SimDuration::from_ns(1500.0));
     }
 
     #[test]
+    fn repeated_activation_changes_nothing() {
+        let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 100.0);
+        let first = rm.request_admission(be(0));
+        let _ = rm.request_admission(be(1));
+        let stops = rm.log().count("stopMsg");
+        let again = rm.request_admission(be(0));
+        // The actMsg is counted; no mode change, no round.
+        assert_eq!(rm.log().count("actMsg"), 3);
+        assert_eq!(rm.log().count("stopMsg"), stops);
+        assert_eq!(rm.mode(), SystemMode(2));
+        assert_eq!(rm.mode_changes(), 2);
+        assert_eq!(rm.rejections(), 0);
+        assert!(again.admitted);
+        assert_eq!(again.mode, SystemMode(2));
+        assert_eq!(Some(again.rates), rm.policy().contracts(rm.active()));
+        // One termination leaves the other app alone, in mode 1.
+        let rates = rm.terminate(AppId(0));
+        assert_eq!(rm.mode(), SystemMode(1));
+        assert_eq!(rates, vec![(AppId(1), first.rates[0].1)]);
+    }
+
+    #[test]
     fn rejection_does_not_reconfigure() {
         let mut rm = ResourceManager::new(WeightedPolicy::new(0.5, 4.0, 0.0), 100.0);
-        let _ = rm.request_admission(Application::critical(AppId(0), 0, 500), SimTime::ZERO);
+        let _ = rm.request_admission(Application::critical(AppId(0), 0, 500));
         let stops_before = rm.log().count("stopMsg");
-        let out = rm.request_admission(Application::critical(AppId(1), 1, 500), SimTime::ZERO);
+        let out = rm.request_admission(Application::critical(AppId(1), 1, 500));
         assert!(!out.admitted);
         assert_eq!(
             rm.log().count("stopMsg"),
@@ -1190,6 +1169,28 @@ mod tests {
     }
 
     #[test]
+    fn terminate_releases_the_departed_client() {
+        let mut rm = ft_rm().with_watchdog(WatchdogConfig {
+            timeout_cycles: 5_000,
+            ..WatchdogConfig::default()
+        });
+        let _ = rm.receive_batch(&[act(0, 0, 0)], 0);
+        assert_eq!(rm.pending_conf_count(), 1);
+        rm.terminate(AppId(0));
+        // The conf towards the departed client is no longer owed: nothing
+        // is retransmitted and its exhausted budget cannot degrade the RM.
+        for at in [100, 300, 700] {
+            assert!(rm.poll(at).is_empty(), "retransmitted at {at}");
+            assert!(!rm.is_safe_mode(), "safe mode at {at}");
+        }
+        assert_eq!(rm.next_deadline(), None, "app 0 is no longer monitored");
+        let out = rm.receive_batch(&[act(1, 0, 701)], 701);
+        let names: Vec<&str> = out.iter().map(|e| e.message.name()).collect();
+        assert_eq!(names, vec!["stopMsg", "confMsg"]);
+        assert_eq!(rm.mode(), SystemMode(1));
+    }
+
+    #[test]
     fn watchdog_reclaims_silent_client_and_redistributes() {
         let mut rm = ft_rm();
         let out = rm.receive_batch(&[act(0, 0, 0)], 0);
@@ -1308,7 +1309,7 @@ mod tests {
         assert_eq!(rm.active().len(), 2);
         // Instantaneous termination and watchdog reclamation both go
         // through the indexed removal path.
-        rm.terminate(AppId(0), SimTime::from_ns(100.0));
+        rm.terminate(AppId(0));
         assert!(rm.active().iter().all(|a| a.id != AppId(0)));
         let _ = rm.poll(5_000); // app 1 silent past the timeout
         assert_eq!(rm.reclamations(), 1);
@@ -1382,7 +1383,7 @@ mod tests {
         let out = rm.receive_batch(&[act(1, 0, 5)], 5);
         settle_confs(&mut rm, &out, 6);
         assert!(rm.take_departures().is_empty());
-        rm.terminate(AppId(0), SimTime::from_ns(100.0));
+        rm.terminate(AppId(0));
         let _ = rm.poll(5_000); // watchdog reclaims silent app 1
         assert_eq!(rm.take_departures(), vec![AppId(0), AppId(1)]);
         assert!(rm.take_departures().is_empty(), "drained");
@@ -1395,7 +1396,7 @@ mod tests {
             let _ = rm.receive_batch(&[act(n, 0, n as u64)], n as u64);
         }
         let _ = rm.poll(500); // retransmit sweep reindexes retries
-        rm.terminate(AppId(2), SimTime::from_ns(600.0));
+        rm.terminate(AppId(2));
         let _ = rm.poll(2_000); // watchdog reclaims the rest
         assert_eq!(rm.pending_confs.len(), rm.conf_retry_index.len());
         for (&app, p) in &rm.pending_confs {
@@ -1483,14 +1484,60 @@ mod tests {
         assert_eq!(rm.next_deadline(), None);
     }
 
-    #[test]
-    fn logging_off_keeps_counters_but_not_records() {
-        let mut rm = ft_rm();
-        rm.set_logging(false);
-        let _ = rm.receive_batch(&[act(0, 0, 10)], 10);
-        assert_eq!(rm.log().count("actMsg"), 0, "no records when disabled");
-        assert_eq!(rm.mode(), SystemMode(1), "behaviour unchanged");
-        assert_eq!(rm.mode_changes(), 1);
+    proptest::proptest! {
+        /// Whatever mix of the instantaneous and the message-driven API
+        /// runs, the active list holds no id twice and matches its index,
+        /// and every client the watchdog monitors is active.
+        #[test]
+        fn membership_stays_consistent_across_both_apis(
+            ops in proptest::collection::vec((0u8..7, 0u32..4, 0u64..400), 1..60),
+        ) {
+            let mut rm = ft_rm();
+            let mut seqs = [0u64; 4];
+            let mut now = 0u64;
+            for &(kind, app, dt) in &ops {
+                now += dt;
+                let message = match kind {
+                    0 => {
+                        let _ = rm.request_admission(be(app));
+                        None
+                    }
+                    1 => {
+                        let _ = rm.terminate(AppId(app));
+                        None
+                    }
+                    2 => Some(ControlMessage::Activation { app: AppId(app) }),
+                    3 => Some(ControlMessage::Termination { app: AppId(app) }),
+                    4 => Some(ControlMessage::Heartbeat { app: AppId(app) }),
+                    5 => Some(ControlMessage::Ack { app: AppId(app), of_seq: dt }),
+                    _ => {
+                        let _ = rm.poll(now);
+                        None
+                    }
+                };
+                if let Some(message) = message {
+                    seqs[app as usize] += 1;
+                    let envelope = Envelope {
+                        from: Endpoint::Client(AppId(app)),
+                        to: Endpoint::Rm,
+                        seq: seqs[app as usize],
+                        sent_at_cycle: now,
+                        message,
+                    };
+                    let _ = rm.receive_batch(&[envelope], now);
+                }
+                let ids: Vec<AppId> = rm.active.iter().map(|a| a.id).collect();
+                let unique: FxHashSet<AppId> = ids.iter().copied().collect();
+                proptest::prop_assert_eq!(ids.len(), unique.len(), "an id twice: {:?}", ids);
+                proptest::prop_assert_eq!(&unique, &rm.active_ids);
+                for (&app, record) in &rm.records {
+                    proptest::prop_assert!(
+                        record.heard.is_none() || rm.is_active(app),
+                        "{} monitored but not active", app
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! the ack of the cluster's bundle), and keeps a stop-and-wait
 //! retransmission towards each cluster for decision bundles.
 //!
-//! Cluster bundles are deduplicated by `(cluster, seq)`: a
+//! Cluster bundles are deduplicated by `(cluster, seq)` through one
+//! sequence window per cluster; a cluster numbers its bundles
+//! consecutively, so its window stays O(1) however long it runs. A
 //! delayed-then-retransmitted bundle is answered (its ack may have been
 //! the lost half) but its budget items are **not** re-applied, so a
 //! duplicate `bundleMsg` can neither double-grant nor double-release.
@@ -23,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::app::AppId;
 use crate::client::RetryPolicy;
-use crate::protocol::{BundleItem, ClusterBundle, ClusterId, GrantDecision, RootBundle};
+use crate::protocol::{BundleItem, ClusterBundle, ClusterId, GrantDecision, RootBundle, SeqWindow};
 use crate::rm::earliest;
 
 /// A decision bundle awaiting the destination cluster's ack.
@@ -42,7 +44,7 @@ pub struct RootArbiter {
     /// Per-cluster, per-app granted guaranteed rates.
     granted: BTreeMap<ClusterId, BTreeMap<AppId, u64>>,
     /// Cluster bundle seqs already applied, per cluster (the dedup guard).
-    seen: BTreeMap<ClusterId, BTreeSet<u64>>,
+    seen: BTreeMap<ClusterId, SeqWindow>,
     /// At most one unacked decision bundle per cluster (stop-and-wait).
     pending_down: BTreeMap<ClusterId, PendingDown>,
     next_seq: u64,

@@ -15,14 +15,15 @@
 //!
 //! * **ideal** (the default): control messages take effect instantly and
 //!   are never lost; the original, fast path;
-//! * **lossy** ([`Scenario::faults`], or any scripted [`Crash`] /
-//!   [`Hang`] event): every message travels through a [`ControlPlane`]
-//!   whose seeded `autoplat_sim::FaultInjector` may drop, delay or
-//!   duplicate it, and clients themselves may crash or hang. The protocol
-//!   then runs its fault-tolerant machinery — retransmission,
-//!   acknowledgements, heartbeats, the RM watchdog, safe-mode
-//!   degradation — and the outcome carries [`RecoveryMetrics`]. A plan
-//!   plus a seed determines the run bit-exactly.
+//! * **lossy** ([`Scenario::faults`], or any [`Crash`] / [`Hang`] event):
+//!   every message travels through a [`ControlPlane`] whose seeded
+//!   `autoplat_sim::FaultInjector` may drop, delay or duplicate it, and
+//!   clients crash or hang where the script says so (a fault plan faults
+//!   messages, not clients). The protocol then runs its fault-tolerant
+//!   machinery — retransmission, acknowledgements, heartbeats, the RM
+//!   watchdog, safe-mode degradation — and the outcome carries
+//!   [`RecoveryMetrics`]. A plan plus a seed determines the run
+//!   bit-exactly.
 //!
 //! [`Crash`]: ScenarioEvent::Crash
 //! [`Hang`]: ScenarioEvent::Hang
@@ -396,7 +397,7 @@ impl<P: RatePolicy> Scenario<P> {
         }
     }
 
-    /// The original instantaneous path: control messages are logged and
+    /// The original instantaneous path: control messages are counted and
     /// take effect the same cycle. This is the hot path benchmarks and
     /// non-fault scenarios use; it pays nothing for the fault machinery.
     fn run_ideal(mut self, mut noc: NocSim, sink: NodeId) -> ScenarioOutcome {
@@ -453,13 +454,15 @@ impl<P: RatePolicy> Scenario<P> {
             let due = matches!(self.events.last(), Some(&(c, _)) if c <= now);
             if due {
                 let (cycle, event) = self.events.pop().expect("checked above");
-                let at = SimTime::from_ns(cycle as f64);
                 let round = match event {
+                    // An active app's client is not idle, so nothing is
+                    // trapped: no actMsg, no round.
+                    ScenarioEvent::Activate(app) if clients.contains_key(&app.id) => Vec::new(),
                     ScenarioEvent::Activate(app) => {
                         let mut client = Client::new(app.id, app.node);
                         // The first transmission is trapped -> actMsg.
                         let _ = client.request_transmit(cycle, 1.0);
-                        let outcome = rm.request_admission(app, at);
+                        let outcome = rm.request_admission(app);
                         if outcome.admitted {
                             apps.insert(app.id, app);
                             clients.insert(app.id, client);
@@ -473,7 +476,7 @@ impl<P: RatePolicy> Scenario<P> {
                         Some(mut client) => {
                             client.on_terminate();
                             apps.remove(&id);
-                            rm.terminate(id, at)
+                            rm.terminate(id)
                         }
                         None => Vec::new(),
                     },
@@ -527,7 +530,6 @@ impl<P: RatePolicy> Scenario<P> {
         );
         let mut clients: BTreeMap<AppId, Client> = BTreeMap::new();
         let mut apps: BTreeMap<AppId, Application> = BTreeMap::new();
-        let mut node_owner: BTreeMap<u32, AppId> = BTreeMap::new();
         // Terminated apps keep their client for `terMsg` retransmissions
         // but no longer report observations, as on the ideal path.
         let mut terminated: BTreeSet<AppId> = BTreeSet::new();
@@ -562,7 +564,6 @@ impl<P: RatePolicy> Scenario<P> {
                     cp: &mut cp,
                     clients: &mut clients,
                     apps: &apps,
-                    node_owner: &node_owner,
                     rejected: &mut rejected,
                     reconverged_at: &mut reconverged_at,
                     noc: &mut noc,
@@ -614,7 +615,6 @@ impl<P: RatePolicy> Scenario<P> {
                             cp.send(cycle, env);
                         }
                         apps.insert(app.id, app);
-                        node_owner.insert(app.node, app.id);
                         clients.insert(app.id, client);
                         terminated.remove(&app.id);
                     }
@@ -691,7 +691,6 @@ struct LossyEpoch<'a, P> {
     cp: &'a mut ControlPlane,
     clients: &'a mut BTreeMap<AppId, Client>,
     apps: &'a BTreeMap<AppId, Application>,
-    node_owner: &'a BTreeMap<u32, AppId>,
     rejected: &'a mut Vec<AppId>,
     reconverged_at: &'a mut Option<u64>,
     noc: &'a mut NocSim,
@@ -708,20 +707,12 @@ impl<P: RatePolicy> Process for LossyEpoch<'_, P> {
         if now >= self.boundary {
             return;
         }
-        process_control(
-            now,
-            self.rm,
-            self.cp,
-            self.clients,
-            self.node_owner,
-            self.rejected,
-        );
+        process_control(now, self.rm, self.cp, self.clients, self.rejected);
         track_reconvergence(now, self.rm, self.cp, self.clients, self.reconverged_at);
         // The next cycle anything happens on the control plane.
         let mut next = self.boundary;
         let deadlines = [
             self.cp.next_delivery_cycle(),
-            self.cp.next_client_fault_cycle(),
             self.rm.next_deadline(),
             self.clients
                 .values()
@@ -765,28 +756,17 @@ impl<P: RatePolicy> Process for LossyEpoch<'_, P> {
 }
 
 /// Drains every piece of control work due at `now` to a fixed point:
-/// scripted client faults, due deliveries (routed to the RM or a client,
-/// responses resubmitted), and the RM/client timers.
+/// due deliveries (routed to the RM or a client, responses resubmitted)
+/// and the RM/client timers.
 fn process_control<P: RatePolicy>(
     now: u64,
     rm: &mut ResourceManager<P>,
     cp: &mut ControlPlane,
     clients: &mut BTreeMap<AppId, Client>,
-    node_owner: &BTreeMap<u32, AppId>,
     rejected: &mut Vec<AppId>,
 ) {
     loop {
         let mut progressed = false;
-        for fault in cp.take_client_faults_due(now) {
-            progressed = true;
-            let Some(app) = node_owner.get(&fault.node()) else {
-                continue; // fault targets a node no client occupies
-            };
-            // Every scripted client fault is a crash.
-            if let Some(client) = clients.get_mut(app) {
-                client.crash();
-            }
-        }
         // Consecutive RM-bound envelopes coalesce into one batch — a
         // single reconfiguration round per delivery burst instead of one
         // per envelope. The batch flushes whenever a client-bound
@@ -834,8 +814,8 @@ fn process_control<P: RatePolicy>(
 }
 
 /// Records the start of the current quiescent stretch: nothing in flight,
-/// nothing awaiting an ack, no client hung, no scripted fault still to
-/// fire. Any later disturbance resets it.
+/// nothing awaiting an ack, no client hung. Any later disturbance resets
+/// it.
 fn track_reconvergence<P: RatePolicy>(
     now: u64,
     rm: &ResourceManager<P>,
@@ -845,7 +825,6 @@ fn track_reconvergence<P: RatePolicy>(
 ) {
     let quiet = cp.is_empty()
         && rm.pending_conf_count() == 0
-        && cp.next_client_fault_cycle().is_none()
         && clients
             .values()
             .all(|c| !c.has_pending_send() && !matches!(c.liveness(), Liveness::Hung { .. }));
@@ -924,6 +903,21 @@ mod tests {
         assert_eq!(app0.len(), 3);
         assert!(app0[2].observed_rate > app0[1].observed_rate * 1.5);
         assert_eq!(app0[2].mode, 1);
+    }
+
+    #[test]
+    fn repeated_activation_of_an_active_app_is_a_no_op() {
+        let out = Scenario::new(SymmetricPolicy::new(0.1, 8.0), 4, 4)
+            .event(0, ScenarioEvent::Activate(be(0, 0)))
+            .event(2_000, ScenarioEvent::Activate(be(0, 0)))
+            .horizon(4_000)
+            .run();
+        let modes: Vec<usize> = out.observations.iter().map(|o| o.mode).collect();
+        assert_eq!(modes, vec![1, 1]);
+        assert_eq!(out.observations[0].app, AppId(0));
+        assert_eq!(out.observations[1].app, AppId(0));
+        // One actMsg, one stop/conf round: the repeat sent nothing.
+        assert_eq!(out.protocol_messages, 3);
     }
 
     #[test]

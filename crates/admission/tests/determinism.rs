@@ -18,12 +18,11 @@ fn be(id: u32, node: u32) -> Application {
 /// A lossy scenario exercising drops, delays, duplicates and a client
 /// crash, exported through the shared metrics registry.
 fn export_run(seed: u64) -> (String, String) {
-    let plan = FaultPlan::new()
-        .drop_nth("confMsg", 0)
-        .crash_client(3, 4_050);
+    let plan = FaultPlan::new().drop_nth("confMsg", 0);
     let out = Scenario::new(SymmetricPolicy::new(0.5, 8.0), 4, 4)
         .event(0, ScenarioEvent::Activate(be(0, 0)))
         .event(4_000, ScenarioEvent::Activate(be(1, 3)))
+        .event(4_050, ScenarioEvent::Crash(AppId(1)))
         .horizon(12_000)
         .watchdog(WatchdogConfig {
             timeout_cycles: 2_000,

@@ -1,5 +1,6 @@
 //! Acceptance scenario for the fault-tolerance layer: a scripted fault
-//! plan drops the first `confMsg` and crashes one client mid-transition.
+//! plan drops the first `confMsg`, and a scripted event crashes one client
+//! mid-transition.
 //! The scenario must complete without deadlock, the RM must reclaim the
 //! dead client's bandwidth within the watchdog timeout, survivors must
 //! keep rates at least as good as their pre-fault guarantees, and the
@@ -20,17 +21,17 @@ fn be(id: u32, node: u32) -> Application {
 }
 
 /// App 0 runs alone, app 1 joins at cycle 4000 (a mode transition whose
-/// stop/conf round is in flight when app 1's client crashes at 4050); on
-/// top, the very first `confMsg` of the run is dropped. The `Terminate`
-/// of an unknown app at cycle 9000 is a no-op that only introduces an
-/// observation boundary, so the final interval is purely post-recovery.
+/// stop/conf round is in flight when app 1's client, on node 3, crashes
+/// at 4050); on top, the very first `confMsg` of the run is dropped. The
+/// `Terminate` of an unknown app at cycle 9000 is a no-op that only
+/// introduces an observation boundary, so the final interval is purely
+/// post-recovery.
 fn acceptance_run(seed: u64) -> ScenarioOutcome {
-    let plan = FaultPlan::new()
-        .drop_nth("confMsg", 0)
-        .crash_client(3, CRASH_AT);
+    let plan = FaultPlan::new().drop_nth("confMsg", 0);
     Scenario::new(SymmetricPolicy::new(0.5, 8.0), 4, 4)
         .event(0, ScenarioEvent::Activate(be(0, 0)))
         .event(4_000, ScenarioEvent::Activate(be(1, 3)))
+        .event(CRASH_AT, ScenarioEvent::Crash(AppId(1)))
         .event(9_000, ScenarioEvent::Terminate(AppId(9)))
         .horizon(16_000)
         .watchdog(WatchdogConfig {

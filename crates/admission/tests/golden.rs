@@ -39,7 +39,7 @@ use autoplat_admission::{
     AppId, Application, ControlMessage, Endpoint, Envelope, FleetConfig, FleetOutcome, FleetSim,
     FleetTopology, ResourceManager, RetryPolicy, WatchdogConfig,
 };
-use autoplat_sim::{FaultPlan, MetricsRegistry, SimTime};
+use autoplat_sim::{FaultPlan, MetricsRegistry};
 
 /// FNV-1a over `text`.
 fn digest(text: &str) -> u64 {
@@ -340,7 +340,7 @@ impl<P: RatePolicy> Trace<P> {
             8..=11 => ("poll".to_string(), self.rm.poll(now)),
             12 => {
                 let app = self.pick_app();
-                self.rm.terminate(AppId(app), SimTime::from_ns(now as f64));
+                self.rm.terminate(AppId(app));
                 (format!("terminate{app}"), Vec::new())
             }
             _ => {

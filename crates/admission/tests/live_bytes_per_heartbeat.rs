@@ -1,8 +1,10 @@
-//! An RM's memory must not grow with the heartbeats it hears.
+//! An RM's memory must not grow with the heartbeats it hears, nor the
+//! root arbiter's with the bundles its clusters send.
 //!
 //! This test binary installs a global allocator that tracks the bytes
 //! live on each thread. The counter is a `const` thread-local, so
 //! allocations made by the test harness's other threads stay out of it.
+//!
 //! An RM admits 64 clients, then hears heartbeats that carry
 //! consecutive per-client sequence numbers, the way `Client` numbers its
 //! envelopes: one counter per client, counting up from its `actMsg`. The
@@ -16,13 +18,20 @@
 //! share the RM's one sequence counter, so each client sees a sparse
 //! subsequence of it, and a client's receive window still keeps every
 //! sequence number it accepted above its floor.
+//!
+//! A root arbiter hears digest-only bundles from 8 clusters, each
+//! numbering its bundles consecutively as `ClusterRm` does. The live
+//! bytes after 2×10^4 bundles per cluster may exceed those after 10^4 by
+//! at most 4 KiB: a set of every bundle seq per cluster grows by about
+//! 1.5 MiB over the extra 8×10^4 bundles. The root→cluster direction is
+//! sparse, like the RM→client one, and is not bounded here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use autoplat_admission::modes::SymmetricPolicy;
-use autoplat_admission::protocol::{ControlMessage, Endpoint, Envelope};
-use autoplat_admission::{AppId, Application, ResourceManager};
+use autoplat_admission::protocol::{ClusterBundle, ClusterId, ControlMessage, Endpoint, Envelope};
+use autoplat_admission::{AppId, Application, ResourceManager, RetryPolicy, RootArbiter};
 
 thread_local! {
     /// Bytes allocated minus bytes freed on this thread. Signed: memory
@@ -76,7 +85,6 @@ fn envelope(app: u32, seq: u64, at: u64, message: ControlMessage) -> Envelope {
 #[test]
 fn heartbeats_with_fresh_seqs_keep_rm_memory_flat() {
     let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 8.0), 0.0);
-    rm.set_logging(false);
     let activations: Vec<Envelope> = (0..CLIENTS)
         .map(|app| {
             rm.register(Application::best_effort(AppId(app), app));
@@ -120,6 +128,47 @@ fn heartbeats_with_fresh_seqs_keep_rm_memory_flat() {
     assert!(
         growth <= 4 * 1024,
         "live bytes grew by {growth} B over the second 10^4 heartbeats \
+         ({} B after 10^4, {} B after 2×10^4)",
+        live_after[0],
+        live_after[1]
+    );
+}
+
+const CLUSTERS: u32 = 8;
+
+#[test]
+fn consecutive_cluster_bundles_keep_root_memory_flat() {
+    let mut root = RootArbiter::new(1_000, RetryPolicy::default(), 1_000);
+    for c in 0..CLUSTERS {
+        root.register_cluster(ClusterId(c), 0);
+    }
+    // One bundle per cycle, clusters in turn: each is heard every 8
+    // cycles, well inside the 1,000-cycle cluster timeout.
+    let mut live_after = Vec::new();
+    for n in 0..20_000 * u64::from(CLUSTERS) {
+        let now = 1 + n;
+        let digest = ClusterBundle {
+            cluster: ClusterId((n % u64::from(CLUSTERS)) as u32),
+            seq: n / u64::from(CLUSTERS),
+            sent_at_cycle: now,
+            live_clients: 0,
+            items: Vec::new(),
+        };
+        assert!(
+            root.receive(&digest, now).is_none(),
+            "a digest needs no answer"
+        );
+        if (n + 1) % (10_000 * u64::from(CLUSTERS)) == 0 {
+            live_after.push(LIVE_BYTES.with(Cell::get));
+        }
+    }
+    assert!(root.poll(20_000 * u64::from(CLUSTERS)).is_empty());
+    assert_eq!(root.cluster_reclaims(), 0, "every cluster stayed alive");
+    assert_eq!(root.duplicate_bundles(), 0, "every seq was fresh");
+    let growth = live_after[1] - live_after[0];
+    assert!(
+        growth <= 4 * 1024,
+        "live bytes grew by {growth} B over the second 10^4 bundles per cluster \
          ({} B after 10^4, {} B after 2×10^4)",
         live_after[0],
         live_after[1]

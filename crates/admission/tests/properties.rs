@@ -7,12 +7,12 @@ use autoplat_admission::client::{Client, RetryPolicy, TransmitDecision};
 use autoplat_admission::control_plane::ControlPlane;
 use autoplat_admission::e2e::ResourceChain;
 use autoplat_admission::modes::{RatePolicy, SymmetricPolicy, WeightedPolicy};
-use autoplat_admission::protocol::{ControlMessage, Endpoint, Envelope, ReceiveState};
+use autoplat_admission::protocol::{ControlMessage, Endpoint, Envelope};
 use autoplat_admission::rm::{ResourceManager, WatchdogConfig};
 use autoplat_admission::simulation::{Scenario, ScenarioEvent};
 use autoplat_netcalc::conformance::first_violation;
 use autoplat_netcalc::{RateLatency, TokenBucket};
-use autoplat_sim::{FaultInjector, FaultPlan, MessageFault, SimTime};
+use autoplat_sim::{FaultInjector, FaultPlan, MessageFault};
 use proptest::prelude::*;
 
 proptest! {
@@ -77,20 +77,13 @@ proptest! {
     ) {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 4.0), 50.0);
         let mut expected: std::collections::BTreeSet<u32> = Default::default();
-        let mut t = 0.0;
         for &(admit, id) in &ops {
-            t += 100.0;
             if admit {
-                if !expected.contains(&id) {
-                    let out = rm.request_admission(
-                        Application::best_effort(AppId(id), id),
-                        SimTime::from_ns(t),
-                    );
-                    prop_assert!(out.admitted, "symmetric policy admits everyone");
-                    expected.insert(id);
-                }
+                let out = rm.request_admission(Application::best_effort(AppId(id), id));
+                prop_assert!(out.admitted, "symmetric policy admits everyone");
+                expected.insert(id);
             } else {
-                rm.terminate(AppId(id), SimTime::from_ns(t));
+                rm.terminate(AppId(id));
                 expected.remove(&id);
             }
             prop_assert_eq!(rm.mode().0, expected.len());
@@ -120,10 +113,7 @@ proptest! {
     ) {
         let mut rm = ResourceManager::new(SymmetricPolicy::new(1.0, 4.0), 100.0);
         for i in 0..admissions as u32 {
-            let _ = rm.request_admission(
-                Application::best_effort(AppId(i), i),
-                SimTime::from_ns(i as f64 * 10.0),
-            );
+            let _ = rm.request_admission(Application::best_effort(AppId(i), i));
         }
         prop_assert_eq!(rm.log().count("stopMsg"), rm.log().count("confMsg"));
         prop_assert_eq!(rm.log().count("actMsg"), admissions);
@@ -319,22 +309,21 @@ fn check_returned_rates<P: RatePolicy>(
     mut rm: ResourceManager<P>,
     ops: &[(bool, u32, u32)],
 ) -> TestCaseResult {
-    for (i, &(admit, id, demand)) in ops.iter().enumerate() {
-        let now = SimTime::from_ns(100.0 * i as f64);
+    for &(admit, id, demand) in ops {
         let active = rm.active().iter().any(|a| a.id == AppId(id));
         let rates = match (admit, active) {
-            // The instantaneous API leaves duplicates to its caller.
-            (true, true) => continue,
-            (true, false) => {
+            // A repeated activation of an active app reports the current
+            // rates, like any other.
+            (true, _) => {
                 let app = if demand < 300 {
                     Application::best_effort(AppId(id), id)
                 } else {
                     Application::critical(AppId(id), id, demand - 300)
                 };
-                rm.request_admission(app, now).rates
+                rm.request_admission(app).rates
             }
             (false, active) => {
-                let rates = rm.terminate(AppId(id), now);
+                let rates = rm.terminate(AppId(id));
                 if !active {
                     prop_assert!(rates.is_empty(), "no round, yet rates {rates:?}");
                     continue;
@@ -619,48 +608,48 @@ proptest! {
         prop_assert!(link.is_empty());
     }
 
-    /// `ReceiveState` answers exactly like a set of every `(peer, seq)`
-    /// it accepted: in-order, reordered and repeated seqs, seqs at the
-    /// top of the range, and `forget`.
+    /// A client's dedup answers exactly like a set of every seq it took
+    /// from the RM, its one sender: in-order, gapped, reordered and
+    /// repeated seqs and seqs at the top of the range, each arriving as a
+    /// `stopMsg`, and the client counts as duplicates exactly the seqs
+    /// the set already holds.
     #[test]
-    fn receive_state_answers_like_a_set_of_every_seq(
-        ops in proptest::collection::vec((0u8..8, 0u8..4, any::<u64>()), 1..300),
+    fn client_dedup_answers_like_a_set_of_every_seq(
+        ops in proptest::collection::vec((0u8..7, any::<u64>()), 1..300),
     ) {
-        let mut rx = ReceiveState::new();
-        let mut model: HashSet<(Endpoint, u64)> = HashSet::new();
+        let mut client = Client::new(AppId(1), 1);
+        let mut model: HashSet<u64> = HashSet::new();
         let mut duplicates = 0u64;
-        let mut next = [0u64; 4];
-        for &(kind, p, x) in &ops {
-            let peer = if p == 0 { Endpoint::Rm } else { Endpoint::Client(AppId(p as u32)) };
-            let counter = &mut next[p as usize];
+        let mut next = 0u64;
+        for &(kind, x) in &ops {
             let seq = match kind {
                 // In order, or skipping ahead past a gap.
                 0 | 1 => {
-                    *counter += x % 3;
-                    *counter += 1;
-                    *counter - 1
+                    next += x % 3;
+                    next += 1;
+                    next - 1
                 }
                 // Reordered: a seq ahead of the counter.
-                2 => *counter + x % 8,
+                2 => next + x % 8,
                 // Repeated: a seq already behind the counter.
-                3 => counter.saturating_sub(1 + x % 4),
+                3 => next.saturating_sub(1 + x % 4),
                 // The top of the range.
                 4 => u64::MAX - x % 3,
                 5 => x,
-                6 => x % 16,
-                _ => {
-                    rx.forget(peer);
-                    model.retain(|&(q, _)| q != peer);
-                    *counter = 0;
-                    continue;
-                }
+                _ => x % 16,
             };
-            let fresh = model.insert((peer, seq));
-            if !fresh {
+            if !model.insert(seq) {
                 duplicates += 1;
             }
-            prop_assert_eq!(rx.accept(peer, seq), fresh, "{} seq {}", peer, seq);
-            prop_assert_eq!(rx.duplicates_suppressed(), duplicates);
+            let stop = Envelope {
+                from: Endpoint::Rm,
+                to: Endpoint::Client(AppId(1)),
+                seq,
+                sent_at_cycle: 0,
+                message: ControlMessage::Stop { app: AppId(1) },
+            };
+            prop_assert!(client.deliver(stop, 0).is_empty(), "a stop is not acked");
+            prop_assert_eq!(client.duplicates_suppressed(), duplicates, "seq {}", seq);
         }
     }
 

@@ -310,8 +310,8 @@ pub fn fig6() -> Vec<Fig6Row> {
         Application::best_effort(AppId(2), 10),
     ];
     let mut last = None;
-    for (i, app) in apps.iter().enumerate() {
-        last = Some(rm.request_admission(*app, SimTime::from_ns(i as f64 * 1000.0)));
+    for app in &apps {
+        last = Some(rm.request_admission(*app));
     }
     let outcome = last.expect("apps admitted");
     assert!(outcome.admitted, "symmetric policy admits all");

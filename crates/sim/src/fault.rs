@@ -10,9 +10,10 @@
 //! Message faults are expressed as a verdict on each sent message
 //! ([`MessageFault`]): deliver, drop, delay by `n` cycles, or duplicate
 //! (deliver twice, the copy delayed). Reordering arises naturally from
-//! delaying some messages past their successors. Client faults
-//! ([`ClientFault`]) crash a node permanently; sensor faults
-//! ([`SensorFault`]) corrupt or lose monitor readings.
+//! delaying some messages past their successors. Sensor faults
+//! ([`SensorFault`]) corrupt or lose monitor readings. A client that
+//! crashes or hangs is a scripted scenario event of the admission layer,
+//! not part of a plan.
 //!
 //! # Examples
 //!
@@ -44,33 +45,6 @@ pub enum MessageFault {
     /// Deliver normally *and* deliver a copy late by the given number of
     /// cycles (tests idempotent receive handling).
     Duplicate(u64),
-}
-
-/// A scripted client-level fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientFault {
-    /// The client at `node` dies at `at_cycle` and never recovers: it stops
-    /// sending heartbeats, acknowledging, and transmitting.
-    Crash {
-        /// The faulted node.
-        node: u32,
-        /// When the crash happens.
-        at_cycle: u64,
-    },
-}
-
-impl ClientFault {
-    /// The cycle at which the fault takes effect.
-    pub fn at_cycle(&self) -> u64 {
-        let ClientFault::Crash { at_cycle, .. } = self;
-        *at_cycle
-    }
-
-    /// The node the fault targets.
-    pub fn node(&self) -> u32 {
-        let ClientFault::Crash { node, .. } = self;
-        *node
-    }
 }
 
 /// One scripted message fault: applies to the `occurrence`-th message
@@ -105,8 +79,8 @@ pub enum SensorFault {
     Dropped,
 }
 
-/// A complete, declarative fault plan: scripted message faults, scripted
-/// client crashes, and background probabilistic message and sensor noise.
+/// A complete, declarative fault plan: scripted message faults and
+/// background probabilistic message and sensor noise.
 ///
 /// All probabilities are per message (or per sensor reading) and resolved
 /// from the injector's seed, so a plan plus a seed fully determines every
@@ -114,7 +88,6 @@ pub enum SensorFault {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     scripted: Vec<ScriptedMessageFault>,
-    client_faults: Vec<ClientFault>,
     drop_p: f64,
     duplicate_p: f64,
     delay_p: f64,
@@ -134,12 +107,11 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: every message is delivered, no client faults. The
+    /// The empty plan: every message and reading is delivered intact. The
     /// injector's hot path for this plan is a single branch.
     pub fn none() -> Self {
         FaultPlan {
             scripted: Vec::new(),
-            client_faults: Vec::new(),
             drop_p: 0.0,
             duplicate_p: 0.0,
             delay_p: 0.0,
@@ -161,7 +133,6 @@ impl FaultPlan {
     /// True when the plan can inject anything.
     pub fn is_active(&self) -> bool {
         !self.scripted.is_empty()
-            || !self.client_faults.is_empty()
             || self.drop_p > 0.0
             || self.duplicate_p > 0.0
             || self.delay_p > 0.0
@@ -204,13 +175,6 @@ impl FaultPlan {
             occurrence,
             fault: MessageFault::Duplicate(cycles),
         });
-        self
-    }
-
-    /// Crashes the client at `node` at `at_cycle`, permanently.
-    pub fn crash_client(mut self, node: u32, at_cycle: u64) -> Self {
-        self.client_faults
-            .push(ClientFault::Crash { node, at_cycle });
         self
     }
 
@@ -344,23 +308,18 @@ pub struct FaultInjector {
     last_readings: Vec<(String, u64)>,
     injected: u64,
     last_fault_cycle: Option<u64>,
-    /// Client faults not yet handed to the driver, sorted by cycle.
-    pending_client_faults: Vec<ClientFault>,
 }
 
 impl FaultInjector {
     /// Creates an injector executing `plan` with randomness derived from
     /// `seed` alone.
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
-        let mut pending = plan.client_faults.clone();
-        pending.sort_by_key(|f| (f.at_cycle(), f.node()));
         FaultInjector {
             rng: SimRng::seed_from(seed),
             seen: Vec::new(),
             last_readings: Vec::new(),
             injected: 0,
             last_fault_cycle: None,
-            pending_client_faults: pending,
             plan,
         }
     }
@@ -463,25 +422,7 @@ impl FaultInjector {
         }
     }
 
-    /// Client faults due at or before `now_cycle`, removed from the plan.
-    /// The driver applies them in the returned (cycle, node) order.
-    pub fn take_client_faults_due(&mut self, now_cycle: u64) -> Vec<ClientFault> {
-        let split = self
-            .pending_client_faults
-            .partition_point(|f| f.at_cycle() <= now_cycle);
-        let due: Vec<ClientFault> = self.pending_client_faults.drain(..split).collect();
-        for fault in &due {
-            self.record_fault(fault.at_cycle());
-        }
-        due
-    }
-
-    /// The cycle of the next pending client fault, if any.
-    pub fn next_client_fault_cycle(&self) -> Option<u64> {
-        self.pending_client_faults.first().map(|f| f.at_cycle())
-    }
-
-    /// Total faults injected (messages + client events).
+    /// Total faults injected (messages and sensor readings).
     pub fn injected(&self) -> u64 {
         self.injected
     }
@@ -579,24 +520,6 @@ mod tests {
             .filter(|&i| inj.on_message(i, "m") == MessageFault::Drop)
             .count();
         assert!((800..1200).contains(&drops), "0.25 of 4000 gave {drops}");
-    }
-
-    #[test]
-    fn client_faults_drain_in_order() {
-        let plan = FaultPlan::new()
-            .crash_client(3, 500)
-            .crash_client(4, 200)
-            .crash_client(1, 200);
-        let mut inj = FaultInjector::new(plan, 0);
-        assert_eq!(inj.next_client_fault_cycle(), Some(200));
-        assert_eq!(inj.take_client_faults_due(100), vec![]);
-        assert_eq!(inj.injected(), 0);
-        let due = inj.take_client_faults_due(1000);
-        let crash = |node, at_cycle| ClientFault::Crash { node, at_cycle };
-        assert_eq!(due, vec![crash(1, 200), crash(4, 200), crash(3, 500)]);
-        assert_eq!(inj.next_client_fault_cycle(), None);
-        assert_eq!(inj.injected(), 3);
-        assert_eq!(inj.last_fault_cycle(), Some(500));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use engine::{Engine, EventSink, MapSink, Process};
 pub use event::EventQueue;
-pub use fault::{ClientFault, FaultInjector, FaultPlan, MessageFault, SensorFault};
+pub use fault::{FaultInjector, FaultPlan, MessageFault, SensorFault};
 pub use json::JsonValue;
 pub use metrics::{HistogramSketch, MetricsRegistry, Span};
 pub use rng::SimRng;

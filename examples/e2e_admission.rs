@@ -21,7 +21,6 @@ use autoplat_dram::wcd::WcdParams;
 use autoplat_dram::ControllerConfig;
 use autoplat_netcalc::arrival::gbps_bucket;
 use autoplat_noc::{NocConfig, NocSim, NodeId, Packet};
-use autoplat_sim::SimTime;
 
 fn main() {
     // The control layer: importance-weighted rate policy over a memory
@@ -34,8 +33,8 @@ fn main() {
         Application::best_effort(AppId(3), 15),
     ];
     let mut final_rates = Vec::new();
-    for (i, app) in apps.iter().enumerate() {
-        let out = rm.request_admission(*app, SimTime::from_us(i as f64));
+    for app in &apps {
+        let out = rm.request_admission(*app);
         println!(
             "actMsg({}) -> {} | mode {} | rates: {}",
             app.id,

@@ -15,7 +15,6 @@ use autoplat_dram::ControllerConfig;
 use autoplat_netcalc::arrival::gbps_bucket;
 use autoplat_netcalc::conformance::first_violation;
 use autoplat_noc::{NocConfig, NocSim, NodeId, Packet};
-use autoplat_sim::SimTime;
 
 fn dram_stage() -> autoplat_netcalc::RateLatency {
     rate_latency_abstraction(
@@ -39,8 +38,8 @@ fn admitted_flows_have_finite_guarantees() {
         Application::best_effort(AppId(2), 12),
     ];
     let mut rates = Vec::new();
-    for (i, app) in apps.iter().enumerate() {
-        let out = rm.request_admission(*app, SimTime::from_us(i as f64));
+    for app in &apps {
+        let out = rm.request_admission(*app);
         assert!(out.admitted, "{} must be admitted", app.id);
         rates = out.rates;
     }
@@ -67,15 +66,12 @@ fn critical_guarantee_survives_mode_changes() {
         .stage("noc", noc_path_curve(4, 2, 1.0, 1.0))
         .stage("dram", dram_stage());
     let critical = Application::critical(AppId(0), 0, 20);
-    let out = rm.request_admission(critical, SimTime::ZERO);
+    let out = rm.request_admission(critical);
     let first_bound = chain
         .delay_bound(&out.rates[0].1)
         .expect("critical flow stable");
     for i in 1..6u32 {
-        let out = rm.request_admission(
-            Application::best_effort(AppId(i), i),
-            SimTime::from_us(i as f64),
-        );
+        let out = rm.request_admission(Application::best_effort(AppId(i), i));
         assert!(out.admitted);
         let critical_rate = out
             .rates
@@ -127,12 +123,9 @@ fn regulated_injection_is_contract_conformant_and_drains() {
 #[test]
 fn rejected_apps_leave_guarantees_intact() {
     let mut rm = ResourceManager::new(WeightedPolicy::new(0.03, 4.0, 0.0), 100.0);
-    let a = rm.request_admission(Application::critical(AppId(0), 0, 25), SimTime::ZERO);
+    let a = rm.request_admission(Application::critical(AppId(0), 0, 25));
     assert!(a.admitted);
-    let overload = rm.request_admission(
-        Application::critical(AppId(1), 1, 25),
-        SimTime::from_us(1.0),
-    );
+    let overload = rm.request_admission(Application::critical(AppId(1), 1, 25));
     assert!(!overload.admitted, "0.05 > 0.03 capacity");
     // The surviving configuration still has the first app at full rate.
     assert_eq!(rm.active().len(), 1);
