@@ -55,12 +55,18 @@ cargo test --release -q -p autoplat-sim -p autoplat-sched -p autoplat-cache \
     -p autoplat-dram -p autoplat-admission -p autoplat-noc -p autoplat-core \
     -p autoplat-regulation -p autoplat-conformance
 
-echo "== metrics export smoke (bench binary + schema gate) =="
+echo "== metrics export smoke (bench binaries + schema gate) =="
+# validation and fig5 are the two readers of the FR-FCFS replay's
+# publish_metrics; both exports go through the schema gate.
 cargo run -q -p autoplat-bench --bin validation -- --smoke \
     --export-json "$SMOKE_DIR/metrics.json" \
     --export-csv "$SMOKE_DIR/metrics.csv" >/dev/null
+cargo run -q -p autoplat-bench --bin fig5 -- --smoke \
+    --export-json "$SMOKE_DIR/fig5.json" \
+    --export-csv "$SMOKE_DIR/fig5.csv" >/dev/null
 cargo run -q -p autoplat-bench --bin schema_check -- \
-    "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/metrics.csv"
+    "$SMOKE_DIR/metrics.json" "$SMOKE_DIR/metrics.csv" \
+    "$SMOKE_DIR/fig5.json" "$SMOKE_DIR/fig5.csv"
 
 echo "== co-simulation smoke (composed platform + schema gate) =="
 cargo run -q -p autoplat-bench --bin cosim -- --smoke \

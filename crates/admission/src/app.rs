@@ -27,14 +27,20 @@ pub enum Importance {
 }
 
 impl Importance {
-    /// The guaranteed rate in items/cycle (0 for best effort).
-    pub fn guaranteed_rate(&self) -> f64 {
+    /// The guaranteed rate in thousandths of an item/cycle (0 for best
+    /// effort): the exact value admission budgets add up.
+    pub fn guaranteed_milli(&self) -> u64 {
         match self {
-            Importance::BestEffort => 0.0,
+            Importance::BestEffort => 0,
             Importance::Critical {
                 guaranteed_rate_milli,
-            } => *guaranteed_rate_milli as f64 / 1000.0,
+            } => u64::from(*guaranteed_rate_milli),
         }
+    }
+
+    /// The guaranteed rate in items/cycle (0 for best effort).
+    pub fn guaranteed_rate(&self) -> f64 {
+        self.guaranteed_milli() as f64 / 1000.0
     }
 
     /// True for critical applications.
@@ -94,11 +100,13 @@ mod tests {
     #[test]
     fn importance_rates() {
         assert_eq!(Importance::BestEffort.guaranteed_rate(), 0.0);
+        assert_eq!(Importance::BestEffort.guaranteed_milli(), 0);
         assert!(!Importance::BestEffort.is_critical());
         let c = Importance::Critical {
             guaranteed_rate_milli: 500,
         };
         assert_eq!(c.guaranteed_rate(), 0.5);
+        assert_eq!(c.guaranteed_milli(), 500);
         assert!(c.is_critical());
     }
 

@@ -48,7 +48,7 @@ use autoplat_sim::{
     Engine, EventSink, FaultPlan, HistogramSketch, MetricsRegistry, Process, SimTime,
 };
 
-use crate::app::{AppId, Application, Importance};
+use crate::app::{AppId, Application};
 use crate::client::RetryPolicy;
 use crate::control_plane::{BundlePlane, ControlPlane};
 use crate::error::AdmissionError;
@@ -978,14 +978,7 @@ impl FleetSim {
             }
         }
         let active_guaranteed = |apps: &[Application]| -> u64 {
-            apps.iter()
-                .map(|a| match a.importance {
-                    Importance::Critical {
-                        guaranteed_rate_milli,
-                    } => u64::from(guaranteed_rate_milli),
-                    Importance::BestEffort => 0,
-                })
-                .sum()
+            apps.iter().map(|a| a.importance.guaranteed_milli()).sum()
         };
         let (
             active_clients,

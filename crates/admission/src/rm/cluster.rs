@@ -281,7 +281,7 @@ impl<P: RatePolicy> ClusterRm<P> {
                 let rate_milli = self
                     .inner
                     .known_app(app)
-                    .map(|a| (a.importance.guaranteed_rate() * 1000.0).round() as u64)
+                    .map(|a| a.importance.guaranteed_milli())
                     .unwrap_or(0);
                 self.awaiting_grant.insert(app, envelope);
                 self.outbox.push(BundleItem::Request { app, rate_milli });

@@ -8,6 +8,7 @@ use autoplat_admission::rm::ResourceManager;
 use autoplat_cache::ClusterPartCr;
 use autoplat_core::platform::{Platform, PlatformConfig};
 use autoplat_core::workload::Workload;
+use autoplat_dram::controller::Mode;
 use autoplat_dram::request::MasterId;
 use autoplat_dram::service_curve::rate_latency_abstraction;
 use autoplat_dram::timing::presets::ddr3_1600;
@@ -268,15 +269,18 @@ pub fn fig5_with_metrics(metrics: &mut MetricsRegistry) -> Vec<Fig5Event> {
             id += 1;
         }
     }
-    let out = ctrl.simulate_with_metrics(reqs, true, metrics);
-    out.trace
-        .entries()
+    let out = ctrl.simulate(reqs);
+    out.publish_metrics(metrics);
+    out.switches
         .iter()
-        .filter(|e| e.tag.starts_with("switch"))
-        .map(|e| Fig5Event {
-            at_ns: e.at.as_ns(),
-            direction: e.tag.to_string(),
-            write_queue_depth: e.value.unwrap_or(0),
+        .map(|s| Fig5Event {
+            at_ns: s.at.as_ns(),
+            direction: match s.to {
+                Mode::Write => "switch-to-write",
+                Mode::Read => "switch-to-read",
+            }
+            .to_string(),
+            write_queue_depth: i64::from(s.write_queue_depth),
         })
         .collect()
 }
@@ -593,7 +597,8 @@ pub fn try_validation_wcd_with_metrics(
         // their own bank — the controller the analysis describes.
         let ctrl = validation_controller(&params);
         let reqs = adversarial_wcd_workload(&params, upper.delay_ns);
-        let out = ctrl.simulate_with_metrics(reqs, false, metrics);
+        let out = ctrl.simulate(reqs);
+        out.publish_metrics(metrics);
         let simulated_ns = out
             .completions
             .iter()

@@ -28,7 +28,7 @@ use std::fmt::Write;
 use autoplat_bench::{fig5, fig5_with_metrics, validation_wcd_with_metrics};
 use autoplat_conformance::{case_seed, Family, Scenario};
 use autoplat_dram::config::ControllerConfig;
-use autoplat_dram::controller::SimOutcome;
+use autoplat_dram::controller::{Mode, SimOutcome};
 use autoplat_dram::request::{Completion, MasterId};
 use autoplat_dram::timing::presets::ddr3_1600;
 use autoplat_dram::wcd::{bounds, WcdParams};
@@ -71,13 +71,11 @@ fn served(completions: &[Completion]) -> String {
 type Switch = (u64, u64, u64);
 
 fn switches(out: &SimOutcome) -> Vec<Switch> {
-    out.trace
-        .entries()
+    out.switches
         .iter()
-        .filter(|e| e.tag.starts_with("switch"))
-        .map(|e| {
-            let to_write = u64::from(e.tag == "switch-to-write");
-            (e.at.as_ps(), to_write, e.value.expect("depth") as u64)
+        .map(|s| {
+            let to_write = u64::from(s.to == Mode::Write);
+            (s.at.as_ps(), to_write, u64::from(s.write_queue_depth))
         })
         .collect()
 }
@@ -104,8 +102,8 @@ fn render_frfcfs(name: &str, out: &SimOutcome, text: &mut String) {
 
 fn render_dpq(name: &str, out: &DpqOutcome, text: &mut String) {
     let mut h = Fnv::new();
-    for c in &out.completions {
-        h.u64(u64::from(out.depth_of(c.request.id).expect("depth")));
+    for &depth in &out.depths {
+        h.u64(u64::from(depth));
     }
     writeln!(
         text,
@@ -150,7 +148,7 @@ fn fig5_replay() -> SimOutcome {
             id += 1;
         }
     }
-    ctrl.simulate(reqs, true)
+    ctrl.simulate(reqs)
 }
 
 /// The adversarial FR-FCFS stream at `params`, horizon at its upper
@@ -188,7 +186,7 @@ fn render_replays() -> String {
             writes: gbps_bucket(4.0, 8, 8),
             queue_position: n,
         };
-        let out = validation_controller(&params).simulate(adversarial(&params), true);
+        let out = validation_controller(&params).simulate(adversarial(&params));
         render_frfcfs(&format!("validation{n:02}"), &out, &mut text);
     }
 
@@ -197,7 +195,7 @@ fn render_replays() -> String {
             unreachable!("dram family")
         };
         let params = s.params();
-        let out = validation_controller(&params).simulate(adversarial(&params), true);
+        let out = validation_controller(&params).simulate(adversarial(&params));
         render_frfcfs(&format!("dram{i:02}"), &out, &mut text);
     }
 
@@ -206,7 +204,7 @@ fn render_replays() -> String {
             unreachable!("dpq family")
         };
         let arbiter = DpqArbiter::new(s.timing(), s.masters, s.masters);
-        let out = arbiter.simulate(adversarial_dpq_workload(s.masters, s.depth), true);
+        let out = arbiter.simulate(adversarial_dpq_workload(s.masters, s.depth));
         render_dpq(&format!("dpq{i:02}"), &out, &mut text);
     }
 
@@ -216,9 +214,9 @@ fn render_replays() -> String {
         };
         let params = s.dram.params();
         let workload = adversarial(&params);
-        let fr = validation_controller(&params).simulate(workload.clone(), true);
+        let fr = validation_controller(&params).simulate(workload.clone());
         render_frfcfs(&format!("diff{i:02}.frfcfs"), &fr, &mut text);
-        let dpq = DpqArbiter::new(params.timing.clone(), 2, 2).simulate(workload, true);
+        let dpq = DpqArbiter::new(params.timing.clone(), 2, 2).simulate(workload);
         render_dpq(&format!("diff{i:02}.dpq"), &dpq, &mut text);
     }
     text

@@ -208,7 +208,7 @@ impl Oracle {
 
         let ctrl = validation_controller(&params);
         let workload = adversarial_wcd_workload(&params, upper.delay_ns);
-        let out = ctrl.simulate(workload, false);
+        let out = ctrl.simulate(workload);
         let probe_id = u64::from(params.queue_position) - 1;
         let observed_ns = match out.completions.iter().find(|c| c.request.id == probe_id) {
             Some(c) => c.finished.as_ns(),
@@ -250,7 +250,7 @@ impl Oracle {
         let timing = s.timing();
         let total = u64::from(s.masters) * u64::from(s.depth);
         let arbiter = DpqArbiter::new(timing.clone(), s.masters, s.masters);
-        let out = arbiter.simulate(adversarial_dpq_workload(s.masters, s.depth), false);
+        let out = arbiter.simulate(adversarial_dpq_workload(s.masters, s.depth));
         if out.completions.len() as u64 != total {
             return violation(
                 "dpq.all_served",
@@ -259,16 +259,7 @@ impl Oracle {
         }
         // Soundness: every completion within the bound at its recorded
         // admission depth (scaled by the falsifiability knob).
-        for c in &out.completions {
-            let depth = match out.depth_of(c.request.id) {
-                Some(d) => d,
-                None => {
-                    return violation(
-                        "dpq.depth_recorded",
-                        format!("request {} has no admission depth", c.request.id),
-                    )
-                }
-            };
+        for (c, &depth) in out.completions.iter().zip(&out.depths) {
             let bound = match dpq_upper_bound(&DpqParams {
                 timing: timing.clone(),
                 masters: s.masters,
@@ -430,7 +421,7 @@ impl Oracle {
         let limit = upper.delay_ns * self.wcd_upper_scale;
 
         // Regime 1: plain FR-FCFS on the shared stream.
-        let fr = validation_controller(&params).simulate(workload.clone(), false);
+        let fr = validation_controller(&params).simulate(workload.clone());
         let fr_ns = match fr.completions.iter().find(|c| c.request.id == probe_id) {
             Some(c) => c.finished.as_ns(),
             None => {
@@ -451,7 +442,7 @@ impl Oracle {
         // reads master 0 / bank 0 and writes master 1 / bank 1. Every
         // completion must respect the per-depth DPQ bound.
         let timing = params.timing.clone();
-        let dpq_out = DpqArbiter::new(timing.clone(), 2, 2).simulate(workload.clone(), false);
+        let dpq_out = DpqArbiter::new(timing.clone(), 2, 2).simulate(workload.clone());
         if dpq_out.completions.len() != workload.len() {
             return violation(
                 "diff.dpq_all_served",
@@ -462,20 +453,7 @@ impl Oracle {
                 ),
             );
         }
-        let mut probe_depth = 0u32;
-        for c in &dpq_out.completions {
-            let depth = match dpq_out.depth_of(c.request.id) {
-                Some(d) => d,
-                None => {
-                    return violation(
-                        "diff.dpq_depth_recorded",
-                        format!("request {} has no admission depth", c.request.id),
-                    )
-                }
-            };
-            if c.request.id == probe_id {
-                probe_depth = depth;
-            }
+        for (c, &depth) in dpq_out.completions.iter().zip(&dpq_out.depths) {
             let bound = match dpq_upper_bound(&DpqParams {
                 timing: timing.clone(),
                 masters: 2,
@@ -499,19 +477,21 @@ impl Oracle {
                 );
             }
         }
-        let dpq_ns = match dpq_out.completion_of(probe_id) {
-            Some(c) => c.finished.as_ns(),
-            None => {
-                return violation(
-                    "diff.dpq_probe_served",
-                    format!("probe {probe_id} never completed under DPQ"),
-                )
-            }
+        let Some(probe) = dpq_out
+            .completions
+            .iter()
+            .position(|c| c.request.id == probe_id)
+        else {
+            return violation(
+                "diff.dpq_probe_served",
+                format!("probe {probe_id} never completed under DPQ"),
+            );
         };
+        let dpq_ns = dpq_out.completions[probe].finished.as_ns();
         let dpq_probe_bound = match dpq_upper_bound(&DpqParams {
             timing: timing.clone(),
             masters: 2,
-            queue_depth: probe_depth.max(1),
+            queue_depth: dpq_out.depths[probe],
         }) {
             Ok(b) => b,
             Err(e) => return violation("diff.dpq_bound_exists", format!("{e} for the probe")),
@@ -522,7 +502,7 @@ impl Oracle {
         // the write bank gets the scenario budget; deferring writes keeps
         // them bucket-conformant, so the FR-FCFS bound must still hold.
         let shifted = regulate_workload(&workload, s)?;
-        let reg = validation_controller(&params).simulate(shifted, false);
+        let reg = validation_controller(&params).simulate(shifted);
         let reg_ns = match reg.completions.iter().find(|c| c.request.id == probe_id) {
             Some(c) => c.finished.as_ns(),
             None => {

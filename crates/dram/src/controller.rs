@@ -9,8 +9,8 @@
 //!   promotions to avoid starving misses;
 //! * **watermark write batching** per Fig. 5: switch to write mode when
 //!   the write queue reaches `W_high` (or `W_low` with an empty read
-//!   queue); switch back after `N_wd` writes when reads wait (or when the
-//!   write queue drains below `max(W_low − N_wd, 0)`);
+//!   queue); switch back once `N_wd` writes are served while reads wait,
+//!   or when the write queue is empty;
 //! * periodic **refresh** every `tREFI`, costing `tRFC`, issued after the
 //!   in-flight request completes and closing all rows;
 //! * per-bank row-buffer state with the `tRC` activate-to-activate
@@ -20,24 +20,51 @@
 //! bus for `tBurst`; a miss pays the precharge→activate→CAS pipeline and
 //! holds its bank for `tRC`), which matches the granularity of the
 //! analytic model in [`crate::wcd`].
+//!
+//! A replay returns what happened ([`SimOutcome`]): the completions in
+//! serve order, the queue depths beside each, the mode switches and the
+//! counts. Fig. 5, the metrics export
+//! ([`SimOutcome::publish_metrics`]) and the conformance oracle all read
+//! that outcome.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use autoplat_sim::engine::{Engine, EventSink, Process};
-use autoplat_sim::metrics::{MetricsRegistry, Span};
-use autoplat_sim::{SimDuration, SimTime, Summary, Trace};
-
-use crate::request::MasterId;
+use autoplat_sim::{MetricsRegistry, SimDuration, SimTime};
 
 use crate::config::ControllerConfig;
-use crate::request::{Completion, Request, RequestKind};
+use crate::request::{Completion, MasterId, Request, RequestKind};
 use crate::timing::DramTiming;
 
 /// Serving direction of the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
+pub enum Mode {
+    /// Serving the read queue.
     Read,
+    /// Serving a write batch.
     Write,
+}
+
+/// One read↔write mode switch of the watermark policy (Fig. 5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModeSwitch {
+    /// When the controller starts serving in the new mode: the decision
+    /// instant plus the turnaround penalty.
+    pub at: SimTime,
+    /// The mode switched to.
+    pub to: Mode,
+    /// Write-queue depth at the switch.
+    pub write_queue_depth: u32,
+}
+
+/// Queue depths right after a request was dequeued for service: what the
+/// next arrival finds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueDepths {
+    /// Requests left in the read queue.
+    pub read: u32,
+    /// Requests left in the write queue.
+    pub write: u32,
 }
 
 /// Events driving the controller on the shared kernel.
@@ -54,29 +81,26 @@ struct Bank {
     ready_at: SimTime,
 }
 
-/// Aggregate outcome of one controller simulation.
+/// What one controller replay did.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
-    /// Every served request with its completion time.
+    /// Every served request with its completion time, in serve order.
     pub completions: Vec<Completion>,
-    /// Read latency statistics (ns).
-    pub read_latency: Summary,
-    /// Write latency statistics (ns).
-    pub write_latency: Summary,
-    /// Per-master read latency statistics (ns).
-    pub read_latency_by_master: BTreeMap<MasterId, Summary>,
+    /// `depths[i]`: the queue depths the controller left when it
+    /// dequeued `completions[i]`.
+    pub depths: Vec<QueueDepths>,
+    /// Every read↔write mode switch, in order.
+    pub switches: Vec<ModeSwitch>,
     /// Number of requests served as row hits.
     pub row_hits: u64,
     /// Number of requests served as row misses.
     pub row_misses: u64,
     /// Refresh operations performed.
     pub refreshes: u64,
-    /// Read↔write mode switches.
-    pub mode_switches: u64,
+    /// How long each refresh held the device (`tRFC`).
+    pub refresh_duration: SimDuration,
     /// Time the last request completed.
     pub finished_at: SimTime,
-    /// Behavioural trace (mode switches, refreshes) when enabled.
-    pub trace: Trace,
 }
 
 impl SimOutcome {
@@ -90,10 +114,38 @@ impl SimOutcome {
         }
     }
 
-    /// The worst observed read latency in nanoseconds, if any read was
-    /// served.
-    pub fn max_read_latency_ns(&self) -> Option<f64> {
-        self.read_latency.max()
+    /// Publishes the replay into `metrics` under the `dram.*` namespace:
+    ///
+    /// * counters — `dram.requests_served`, `dram.row_hits`,
+    ///   `dram.row_misses`, `dram.refreshes`, `dram.mode_switches`;
+    /// * histograms — `dram.read_latency_ns`, `dram.write_latency_ns`,
+    ///   `dram.read_queue_depth`, `dram.write_queue_depth` (one sample per
+    ///   serve, in serve order), `dram.refresh_stall_ns` (one `tRFC` per
+    ///   refresh);
+    /// * gauges — `dram.hit_rate`, `dram.finished_at_ns`.
+    ///
+    /// Publishing several replays into one registry adds up their
+    /// counters and histograms; the gauges keep the last replay's values.
+    pub fn publish_metrics(&self, metrics: &mut MetricsRegistry) {
+        metrics.counter_add("dram.requests_served", self.completions.len() as u64);
+        metrics.counter_add("dram.row_hits", self.row_hits);
+        metrics.counter_add("dram.row_misses", self.row_misses);
+        metrics.counter_add("dram.refreshes", self.refreshes);
+        metrics.counter_add("dram.mode_switches", self.switches.len() as u64);
+        metrics.gauge_set("dram.hit_rate", self.hit_rate());
+        metrics.gauge_set("dram.finished_at_ns", self.finished_at.as_ns());
+        for (c, d) in self.completions.iter().zip(&self.depths) {
+            metrics.observe("dram.read_queue_depth", f64::from(d.read));
+            metrics.observe("dram.write_queue_depth", f64::from(d.write));
+            let latency = match c.request.kind {
+                RequestKind::Read => "dram.read_latency_ns",
+                RequestKind::Write => "dram.write_latency_ns",
+            };
+            metrics.observe(latency, c.latency().as_ns());
+        }
+        for _ in 0..self.refreshes {
+            metrics.observe("dram.refresh_stall_ns", self.refresh_duration.as_ns());
+        }
     }
 }
 
@@ -112,7 +164,7 @@ impl SimOutcome {
 ///     Request::new(0, MasterId(0), RequestKind::Read, 0, 1, SimTime::ZERO),
 ///     Request::new(1, MasterId(0), RequestKind::Read, 0, 1, SimTime::ZERO),
 /// ];
-/// let out = ctrl.simulate(reqs, false);
+/// let out = ctrl.simulate(reqs);
 /// assert_eq!(out.completions.len(), 2);
 /// assert_eq!(out.row_hits, 1); // second access hits the open row
 /// ```
@@ -156,7 +208,7 @@ impl FrFcfsController {
         self.banks
     }
 
-    /// Runs the workload to completion and reports statistics.
+    /// Runs the workload to completion and returns what happened.
     ///
     /// Requests are admitted to their queue in arrival order; when a queue
     /// is full the arrival stalls (back-pressure) until space frees up.
@@ -164,40 +216,7 @@ impl FrFcfsController {
     /// # Panics
     ///
     /// Panics if any request addresses a bank `>= self.banks()`.
-    pub fn simulate<I>(&self, workload: I, trace_enabled: bool) -> SimOutcome
-    where
-        I: IntoIterator<Item = Request>,
-    {
-        self.run(workload, trace_enabled, None)
-    }
-
-    /// Like [`simulate`](FrFcfsController::simulate) but also publishes
-    /// observability data into `metrics` under the `dram.*` namespace:
-    ///
-    /// * counters — `dram.requests_served`, `dram.row_hits`,
-    ///   `dram.row_misses`, `dram.refreshes`, `dram.mode_switches`;
-    /// * histograms — `dram.read_latency_ns`, `dram.write_latency_ns`,
-    ///   `dram.read_queue_depth`, `dram.write_queue_depth` (sampled at
-    ///   every serve), `dram.refresh_stall_ns` (span over each refresh);
-    /// * gauges — `dram.hit_rate`, `dram.finished_at_ns`.
-    pub fn simulate_with_metrics<I>(
-        &self,
-        workload: I,
-        trace_enabled: bool,
-        metrics: &mut MetricsRegistry,
-    ) -> SimOutcome
-    where
-        I: IntoIterator<Item = Request>,
-    {
-        self.run(workload, trace_enabled, Some(metrics))
-    }
-
-    fn run<I>(
-        &self,
-        workload: I,
-        trace_enabled: bool,
-        metrics: Option<&mut MetricsRegistry>,
-    ) -> SimOutcome
+    pub fn simulate<I>(&self, workload: I) -> SimOutcome
     where
         I: IntoIterator<Item = Request>,
     {
@@ -214,17 +233,12 @@ impl FrFcfsController {
             v.sort_by_key(|r| (r.arrival, r.id));
             v.into()
         };
-        let trace = if trace_enabled {
-            Trace::enabled()
-        } else {
-            Trace::new()
-        };
 
+        // Every request is served exactly once.
+        let served = pending.len();
         let mut state = Run {
             timing: &self.timing,
             cfg: &self.config,
-            trace,
-            metrics,
             pending,
             mode: Mode::Read,
             banks: (0..self.banks)
@@ -238,15 +252,16 @@ impl FrFcfsController {
             promoted_hits: 0,
             batch_served: 0,
             next_refresh: SimTime::ZERO + SimDuration::from_ns(self.timing.t_refi),
-            completions: Vec::new(),
-            read_latency: Summary::new(),
-            write_latency: Summary::new(),
-            read_latency_by_master: BTreeMap::new(),
-            row_hits: 0,
-            row_misses: 0,
-            refreshes: 0,
-            mode_switches: 0,
-            finished_at: SimTime::ZERO,
+            outcome: SimOutcome {
+                completions: Vec::with_capacity(served),
+                depths: Vec::with_capacity(served),
+                switches: Vec::new(),
+                row_hits: 0,
+                row_misses: 0,
+                refreshes: 0,
+                refresh_duration: SimDuration::from_ns(self.timing.t_rfc),
+                finished_at: SimTime::ZERO,
+            },
         };
 
         // Drive the state machine on the shared kernel: every `Kick`
@@ -255,44 +270,7 @@ impl FrFcfsController {
         let mut engine = Engine::new();
         engine.schedule_at(SimTime::ZERO, DramEvent::Kick);
         engine.run(&mut state);
-
-        let Run {
-            trace,
-            metrics,
-            completions,
-            read_latency,
-            write_latency,
-            read_latency_by_master,
-            row_hits,
-            row_misses,
-            refreshes,
-            mode_switches,
-            finished_at,
-            ..
-        } = state;
-
-        let outcome = SimOutcome {
-            completions,
-            read_latency,
-            write_latency,
-            read_latency_by_master,
-            row_hits,
-            row_misses,
-            refreshes,
-            mode_switches,
-            finished_at,
-            trace,
-        };
-        if let Some(m) = metrics {
-            m.counter_add("dram.requests_served", outcome.completions.len() as u64);
-            m.counter_add("dram.row_hits", row_hits);
-            m.counter_add("dram.row_misses", row_misses);
-            m.counter_add("dram.refreshes", refreshes);
-            m.counter_add("dram.mode_switches", mode_switches);
-            m.gauge_set("dram.hit_rate", outcome.hit_rate());
-            m.gauge_set("dram.finished_at_ns", outcome.finished_at.as_ns());
-        }
-        outcome
+        state.outcome
     }
 }
 
@@ -307,8 +285,6 @@ impl FrFcfsController {
 struct Run<'a> {
     timing: &'a DramTiming,
     cfg: &'a ControllerConfig,
-    trace: Trace,
-    metrics: Option<&'a mut MetricsRegistry>,
     pending: VecDeque<Request>,
     mode: Mode,
     banks: Vec<Bank>,
@@ -317,15 +293,44 @@ struct Run<'a> {
     promoted_hits: u32,
     batch_served: u32,
     next_refresh: SimTime,
-    completions: Vec<Completion>,
-    read_latency: Summary,
-    write_latency: Summary,
-    read_latency_by_master: BTreeMap<MasterId, Summary>,
-    row_hits: u64,
-    row_misses: u64,
-    refreshes: u64,
-    mode_switches: u64,
-    finished_at: SimTime,
+    outcome: SimOutcome,
+}
+
+impl Run<'_> {
+    /// Refreshes from `at`, closing every row, and returns when the
+    /// device is free again.
+    fn refresh(&mut self, at: SimTime) -> SimTime {
+        for b in &mut self.banks {
+            b.open_row = None;
+        }
+        self.outcome.refreshes += 1;
+        self.next_refresh += SimDuration::from_ns(self.timing.t_refi);
+        at + self.outcome.refresh_duration
+    }
+
+    /// Switches to `to` at `now`, pays the turnaround penalty, logs the
+    /// switch and returns when the new mode starts serving.
+    fn switch(&mut self, to: Mode, now: SimTime) -> SimTime {
+        let t = self.timing;
+        let penalty = match to {
+            Mode::Write => {
+                self.batch_served = 0;
+                t.t_rtw
+            }
+            Mode::Read => {
+                self.promoted_hits = 0;
+                t.t_wr + t.t_wtr + t.t_cl
+            }
+        };
+        let at = now + SimDuration::from_ns(penalty);
+        self.mode = to;
+        self.outcome.switches.push(ModeSwitch {
+            at,
+            to,
+            write_queue_depth: self.write_q.len() as u32,
+        });
+        at
+    }
 }
 
 impl Process for Run<'_> {
@@ -333,7 +338,7 @@ impl Process for Run<'_> {
 
     fn handle(&mut self, _event: DramEvent, sink: &mut dyn EventSink<DramEvent>) {
         let mut now = sink.now();
-        self.finished_at = now;
+        self.outcome.finished_at = now;
         let t = self.timing;
         let cfg = self.cfg;
 
@@ -360,17 +365,7 @@ impl Process for Run<'_> {
             // Idle: jump to the next arrival (serving refreshes that fall
             // inside the idle gap).
             while self.next_refresh <= next_arrival {
-                let span = Span::begin("dram.refresh_stall_ns", self.next_refresh.max(now));
-                now = self.next_refresh.max(now) + SimDuration::from_ns(t.t_rfc);
-                for b in &mut self.banks {
-                    b.open_row = None;
-                }
-                self.refreshes += 1;
-                self.trace.record(now, "dram", "refresh", None);
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    span.end(m, now);
-                }
-                self.next_refresh += SimDuration::from_ns(t.t_refi);
+                now = self.refresh(self.next_refresh.max(now));
             }
             sink.schedule_at(now.max(next_arrival), DramEvent::Kick);
             return;
@@ -378,67 +373,38 @@ impl Process for Run<'_> {
 
         // Refresh: highest priority once the timer has expired.
         if now >= self.next_refresh {
-            let span = Span::begin("dram.refresh_stall_ns", now);
-            now += SimDuration::from_ns(t.t_rfc);
-            for b in &mut self.banks {
-                b.open_row = None;
-            }
-            self.refreshes += 1;
-            self.trace.record(now, "dram", "refresh", None);
-            if let Some(m) = self.metrics.as_deref_mut() {
-                span.end(m, now);
-            }
-            self.next_refresh += SimDuration::from_ns(t.t_refi);
-            sink.schedule_at(now, DramEvent::Kick);
+            sink.schedule_at(self.refresh(now), DramEvent::Kick);
             return;
         }
 
         // Watermark policy (Fig. 5).
-        match self.mode {
+        let switch_to = match self.mode {
             Mode::Read => {
                 let go_write = self.write_q.len() >= cfg.w_high as usize
                     || (self.read_q.is_empty() && self.write_q.len() >= cfg.w_low as usize);
-                if go_write && !self.write_q.is_empty() {
-                    self.mode = Mode::Write;
-                    self.mode_switches += 1;
-                    self.batch_served = 0;
-                    now += SimDuration::from_ns(t.t_rtw);
-                    self.trace.record(
-                        now,
-                        "dram",
-                        "switch-to-write",
-                        Some(self.write_q.len() as i64),
-                    );
-                    sink.schedule_at(now, DramEvent::Kick);
-                    return;
-                }
+                (go_write && !self.write_q.is_empty()).then_some(Mode::Write)
             }
             Mode::Write => {
-                let drained = self.write_q.len() <= cfg.w_low.saturating_sub(cfg.n_wd) as usize;
                 let go_read = self.write_q.is_empty()
-                    || (!self.read_q.is_empty() && self.batch_served >= cfg.n_wd)
-                    || (self.read_q.is_empty() && drained && !self.read_q.is_empty());
-                if go_read {
-                    self.mode = Mode::Read;
-                    self.mode_switches += 1;
-                    self.promoted_hits = 0;
-                    now += SimDuration::from_ns(t.t_wr + t.t_wtr + t.t_cl);
-                    self.trace.record(
-                        now,
-                        "dram",
-                        "switch-to-read",
-                        Some(self.write_q.len() as i64),
-                    );
-                    sink.schedule_at(now, DramEvent::Kick);
-                    return;
-                }
+                    || (!self.read_q.is_empty() && self.batch_served >= cfg.n_wd);
+                go_read.then_some(Mode::Read)
             }
+        };
+        if let Some(to) = switch_to {
+            sink.schedule_at(self.switch(to, now), DramEvent::Kick);
+            return;
         }
 
         // Serve one request in the current mode.
         let (req, was_hit) = match self.mode {
             Mode::Read => {
                 if self.read_q.is_empty() {
+                    // If only writes remain below the watermark, drain
+                    // them rather than deadlock.
+                    if self.pending.is_empty() && !self.write_q.is_empty() {
+                        sink.schedule_at(self.switch(Mode::Write, now), DramEvent::Kick);
+                        return;
+                    }
                     // Nothing to read and the watermark keeps us out of
                     // write mode: wait for the next arrival or refresh.
                     let wake = self
@@ -447,22 +413,6 @@ impl Process for Run<'_> {
                         .map(|r| r.arrival)
                         .unwrap_or(SimTime::MAX)
                         .min(self.next_refresh);
-                    // If only writes remain below the watermark, drain
-                    // them rather than deadlock.
-                    if self.pending.is_empty() && !self.write_q.is_empty() {
-                        self.mode = Mode::Write;
-                        self.mode_switches += 1;
-                        self.batch_served = 0;
-                        now += SimDuration::from_ns(t.t_rtw);
-                        self.trace.record(
-                            now,
-                            "dram",
-                            "switch-to-write",
-                            Some(self.write_q.len() as i64),
-                        );
-                        sink.schedule_at(now, DramEvent::Kick);
-                        return;
-                    }
                     sink.schedule_at(wake, DramEvent::Kick);
                     return;
                 }
@@ -496,10 +446,10 @@ impl Process for Run<'_> {
 
         let bank = &mut self.banks[req.bank as usize];
         let finished = if was_hit {
-            self.row_hits += 1;
+            self.outcome.row_hits += 1;
             now + SimDuration::from_ns(t.t_burst)
         } else {
-            self.row_misses += 1;
+            self.outcome.row_misses += 1;
             // Activate cannot start before the bank's tRC window
             // elapses; the precharge+activate+CAS pipeline follows.
             let begin = now.max(bank.ready_at);
@@ -518,32 +468,11 @@ impl Process for Run<'_> {
             bank.open_row = Some(req.row);
             done
         };
-        if let Some(m) = self.metrics.as_deref_mut() {
-            // Depth *after* dequeuing: what the next arrival sees.
-            m.observe("dram.read_queue_depth", self.read_q.len() as f64);
-            m.observe("dram.write_queue_depth", self.write_q.len() as f64);
-        }
-        match req.kind {
-            RequestKind::Read => {
-                let lat = finished.saturating_since(req.arrival).as_ns();
-                self.read_latency.record(lat);
-                self.read_latency_by_master
-                    .entry(req.master)
-                    .or_default()
-                    .record(lat);
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.observe("dram.read_latency_ns", lat);
-                }
-            }
-            RequestKind::Write => {
-                let lat = finished.saturating_since(req.arrival).as_ns();
-                self.write_latency.record(lat);
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.observe("dram.write_latency_ns", lat);
-                }
-            }
-        }
-        self.completions.push(Completion {
+        self.outcome.depths.push(QueueDepths {
+            read: self.read_q.len() as u32,
+            write: self.write_q.len() as u32,
+        });
+        self.outcome.completions.push(Completion {
             request: req,
             finished,
             row_hit: was_hit,
@@ -666,18 +595,18 @@ mod tests {
 
     #[test]
     fn single_read_miss_latency_is_pipeline() {
-        let out = ctrl().simulate([read(0, 0, 5, 0.0)], false);
+        let out = ctrl().simulate([read(0, 0, 5, 0.0)]);
         let t = ddr3_1600();
         let expect = t.t_rp + t.t_rcd + t.t_cl + t.t_burst;
         assert_eq!(out.completions.len(), 1);
-        assert!((out.read_latency.max().expect("one read") - expect).abs() < 1e-9);
+        assert!((out.completions[0].latency().as_ns() - expect).abs() < 1e-9);
         assert_eq!(out.row_misses, 1);
     }
 
     #[test]
     fn same_row_reads_hit_after_first() {
         let reqs: Vec<_> = (0..10).map(|i| read(i, 0, 7, 0.0)).collect();
-        let out = ctrl().simulate(reqs, false);
+        let out = ctrl().simulate(reqs);
         assert_eq!(out.row_misses, 1);
         assert_eq!(out.row_hits, 9);
     }
@@ -686,7 +615,7 @@ mod tests {
     fn alternating_rows_same_bank_all_miss_at_trc_rate() {
         // Distinct rows so first-ready promotion finds no hits.
         let reqs: Vec<_> = (0..10).map(|i| read(i, 0, i, 0.0)).collect();
-        let out = ctrl().simulate(reqs, false);
+        let out = ctrl().simulate(reqs);
         assert_eq!(out.row_hits, 0);
         // Steady-state spacing is tRC per miss.
         let t = ddr3_1600();
@@ -708,7 +637,7 @@ mod tests {
         for i in 0..20 {
             reqs.push(read(2 + i, 0, 1, 0.2)); // hits to the open row
         }
-        let out = ctrl.simulate(reqs, false);
+        let out = ctrl.simulate(reqs);
         // The miss (id 1) must complete before the 5th hit in queue order
         // would, i.e. only 4 of the row-1 hits finish before it.
         let miss_finish = out
@@ -735,7 +664,7 @@ mod tests {
         for i in 0..20 {
             reqs.push(read(i, 0, 1, i as f64 * 10.0));
         }
-        let out = ctrl().simulate(reqs, true);
+        let out = ctrl().simulate(reqs);
         // All reads complete before any write (watermark never reached
         // until the read stream dries up).
         let last_read = out
@@ -767,9 +696,11 @@ mod tests {
         for i in 0..50 {
             reqs.push(read(i, 0, 1, i as f64 * 6.0));
         }
-        let out = ctrl.simulate(reqs, true);
-        assert!(out.trace.count_tag("switch-to-write") >= 1);
-        assert!(out.trace.count_tag("switch-to-read") >= 1);
+        let out = ctrl.simulate(reqs);
+        let first = out.switches.first().expect("the watermark switches");
+        assert_eq!(first.to, Mode::Write);
+        assert!(first.write_queue_depth >= cfg.w_high, "W_high triggers it");
+        assert!(out.switches.iter().any(|s| s.to == Mode::Read));
         // Some writes complete before the last read: the batch interleaved.
         let last_read = out
             .completions
@@ -793,7 +724,7 @@ mod tests {
     fn refresh_happens_periodically() {
         // Run well past several tREFI.
         let reqs: Vec<_> = (0..500).map(|i| read(i, 0, i, i as f64 * 60.0)).collect();
-        let out = ctrl().simulate(reqs, false);
+        let out = ctrl().simulate(reqs);
         let expected = (out.finished_at.as_ns() / ddr3_1600().t_refi) as u64;
         assert!(
             out.refreshes >= expected.saturating_sub(1) && out.refreshes <= expected + 1,
@@ -808,69 +739,58 @@ mod tests {
         // refresh misses again.
         let t = ddr3_1600();
         let reqs = vec![read(0, 0, 1, 0.0), read(1, 0, 1, t.t_refi + 300.0)];
-        let out = ctrl().simulate(reqs, false);
+        let out = ctrl().simulate(reqs);
         assert_eq!(out.row_misses, 2, "row must be closed by the refresh");
     }
 
     #[test]
     fn banks_are_independent_for_row_state() {
         let reqs = vec![read(0, 0, 1, 0.0), read(1, 1, 1, 0.0), read(2, 0, 1, 0.0)];
-        let out = ctrl().simulate(reqs, false);
+        let out = ctrl().simulate(reqs);
         assert_eq!(out.row_misses, 2); // one per bank
         assert_eq!(out.row_hits, 1);
     }
 
     #[test]
     fn metrics_registry_mirrors_outcome() {
-        let mut m = MetricsRegistry::new();
+        // A queue that builds up, then one read past the first refresh.
+        let late = read(200, 0, 0, 2.0 * ddr3_1600().t_refi);
         let reqs: Vec<_> = (0..200)
             .map(|i| read(i, 0, i % 3, i as f64 * 8.0))
+            .chain([late])
             .collect();
-        let out = ctrl().simulate_with_metrics(reqs, false, &mut m);
-        assert_eq!(m.counter("dram.requests_served"), 200);
+        let out = ctrl().simulate(reqs);
+        let mut m = MetricsRegistry::new();
+        out.publish_metrics(&mut m);
+        assert_eq!(m.counter("dram.requests_served"), 201);
         assert_eq!(m.counter("dram.row_hits"), out.row_hits);
         assert_eq!(m.counter("dram.row_misses"), out.row_misses);
         assert_eq!(m.counter("dram.refreshes"), out.refreshes);
-        assert_eq!(m.counter("dram.mode_switches"), out.mode_switches);
+        assert_eq!(m.counter("dram.mode_switches"), out.switches.len() as u64);
         assert_eq!(m.gauge("dram.hit_rate"), Some(out.hit_rate()));
         assert_eq!(
             m.gauge("dram.finished_at_ns"),
             Some(out.finished_at.as_ns())
         );
         let lat = m.histogram("dram.read_latency_ns").expect("reads observed");
-        assert_eq!(lat.count(), 200);
-        assert_eq!(lat.max(), out.max_read_latency_ns());
-        assert_eq!(
-            m.histogram("dram.read_queue_depth")
-                .expect("sampled")
-                .count(),
-            200,
-            "queue depth is sampled at every serve"
-        );
-        if out.refreshes > 0 {
-            let stall = m.histogram("dram.refresh_stall_ns").expect("spans ended");
-            assert_eq!(stall.count(), out.refreshes);
-            let t = ddr3_1600();
-            assert!((stall.mean() - t.t_rfc).abs() < 1e-9, "each stall is tRFC");
-        }
-    }
-
-    #[test]
-    fn metrics_do_not_change_simulation() {
-        let reqs: Vec<_> = (0..100)
-            .map(|i| read(i, 0, i % 5, i as f64 * 12.0))
-            .collect();
-        let plain = ctrl().simulate(reqs.clone(), false);
-        let mut m = MetricsRegistry::new();
-        let instrumented = ctrl().simulate_with_metrics(reqs, false, &mut m);
-        assert_eq!(plain.finished_at, instrumented.finished_at);
-        assert_eq!(plain.row_hits, instrumented.row_hits);
-        assert_eq!(plain.completions.len(), instrumented.completions.len());
+        assert_eq!(lat.count(), 201);
+        let max = out.completions.iter().map(|c| c.latency()).max();
+        assert_eq!(lat.max(), max.map(|d| d.as_ns()));
+        assert!(m.histogram("dram.write_latency_ns").is_none(), "no writes");
+        let depth = m.histogram("dram.read_queue_depth").expect("sampled");
+        assert_eq!(depth.count(), 201, "queue depth is sampled at every serve");
+        let deepest = out.depths.iter().map(|d| d.read).max();
+        assert_eq!(depth.max(), deepest.map(f64::from));
+        assert!(out.refreshes > 0, "the run spans a refresh");
+        let stall = m.histogram("dram.refresh_stall_ns").expect("refreshes");
+        assert_eq!(stall.count(), out.refreshes);
+        let t = ddr3_1600();
+        assert!((stall.mean() - t.t_rfc).abs() < 1e-9, "each stall is tRFC");
     }
 
     #[test]
     fn empty_workload_is_empty_outcome() {
-        let out = ctrl().simulate(Vec::new(), false);
+        let out = ctrl().simulate(Vec::new());
         assert!(out.completions.is_empty());
         assert_eq!(out.finished_at, SimTime::ZERO);
         assert_eq!(out.hit_rate(), 0.0);
@@ -879,7 +799,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad bank")]
     fn rejects_out_of_range_bank() {
-        let _ = ctrl().simulate([read(0, 99, 0, 0.0)], false);
+        let _ = ctrl().simulate([read(0, 99, 0, 0.0)]);
     }
 
     #[test]
@@ -903,7 +823,7 @@ mod tests {
         for i in 0..400u64 {
             reqs.push(write(1000 + i, 0, 77, i as f64 * 16.0));
         }
-        let out = ctrl.simulate(reqs, false);
+        let out = ctrl.simulate(reqs);
         let probe_finish = out
             .completions
             .iter()

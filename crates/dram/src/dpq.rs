@@ -28,43 +28,34 @@
 //! are deterministic and comparable event-for-event with FR-FCFS runs in
 //! the cross-arbiter conformance family.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use autoplat_sim::engine::{Engine, EventSink, Process};
-use autoplat_sim::{SimDuration, SimTime, Summary, Trace};
+use autoplat_sim::{SimDuration, SimTime};
 
 use crate::controller::DramEvent;
 use crate::request::{Completion, MasterId, Request, RequestKind};
 use crate::timing::DramTiming;
 
-/// Aggregate outcome of one DPQ arbiter simulation.
+/// What one DPQ arbiter replay did.
 #[derive(Debug, Clone)]
 pub struct DpqOutcome {
-    /// Every served request with its completion time.
+    /// Every served request with its completion time, in grant order.
     pub completions: Vec<Completion>,
-    /// Queue depth of each request (by id) at admission: the number of
-    /// same-master requests it sat behind, **plus itself**. This is the
-    /// `d` the per-request latency bound is parameterised on.
-    pub depth_at_admission: BTreeMap<u64, u32>,
+    /// `depths[i]`: the queue depth `completions[i]` was admitted at —
+    /// the number of same-master requests it sat behind, **plus itself**.
+    /// This is the `d` the per-request latency bound is parameterised on.
+    pub depths: Vec<u32>,
     /// Refresh operations performed.
     pub refreshes: u64,
-    /// Per-request end-to-end latency statistics (ns).
-    pub latency: Summary,
     /// Time the last request completed.
     pub finished_at: SimTime,
-    /// Behavioural trace (grants, refreshes) when enabled.
-    pub trace: Trace,
 }
 
 impl DpqOutcome {
     /// The completion record for request `id`, if it was served.
     pub fn completion_of(&self, id: u64) -> Option<&Completion> {
         self.completions.iter().find(|c| c.request.id == id)
-    }
-
-    /// The admission depth recorded for request `id`.
-    pub fn depth_of(&self, id: u64) -> Option<u32> {
-        self.depth_at_admission.get(&id).copied()
     }
 }
 
@@ -105,13 +96,13 @@ impl DpqArbiter {
     }
 
     /// Runs the workload to completion and reports per-request
-    /// completions, admission depths and refresh counts.
+    /// completions, their admission depths and the refresh count.
     ///
     /// # Panics
     ///
     /// Panics if any request addresses a master `>= self.masters()` or a
     /// bank `>= banks`.
-    pub fn simulate<I>(&self, workload: I, trace_enabled: bool) -> DpqOutcome
+    pub fn simulate<I>(&self, workload: I) -> DpqOutcome
     where
         I: IntoIterator<Item = Request>,
     {
@@ -134,48 +125,27 @@ impl DpqArbiter {
             v.sort_by_key(|r| (r.arrival, r.id));
             v.into()
         };
-        let trace = if trace_enabled {
-            Trace::enabled()
-        } else {
-            Trace::new()
-        };
-
+        // Every request is served exactly once.
+        let served = pending.len();
         let mut state = DpqRun {
             timing: &self.timing,
-            trace,
             pending,
             queues: (0..self.masters).map(|_| VecDeque::new()).collect(),
             order: (0..self.masters).collect(),
             bank_ready: vec![SimTime::ZERO; self.banks as usize],
             next_refresh: SimTime::ZERO + SimDuration::from_ns(self.timing.t_refi),
-            depth_at_admission: BTreeMap::new(),
-            completions: Vec::new(),
-            latency: Summary::new(),
-            refreshes: 0,
-            finished_at: SimTime::ZERO,
+            outcome: DpqOutcome {
+                completions: Vec::with_capacity(served),
+                depths: Vec::with_capacity(served),
+                refreshes: 0,
+                finished_at: SimTime::ZERO,
+            },
         };
 
         let mut engine = Engine::new();
         engine.schedule_at(SimTime::ZERO, DramEvent::Kick);
         engine.run(&mut state);
-
-        let DpqRun {
-            trace,
-            depth_at_admission,
-            completions,
-            latency,
-            refreshes,
-            finished_at,
-            ..
-        } = state;
-        DpqOutcome {
-            completions,
-            depth_at_admission,
-            refreshes,
-            latency,
-            finished_at,
-            trace,
-        }
+        state.outcome
     }
 }
 
@@ -183,21 +153,16 @@ impl DpqArbiter {
 /// single-pending-`Kick` discipline of the FR-FCFS `Run`.
 struct DpqRun<'a> {
     timing: &'a DramTiming,
-    trace: Trace,
     pending: VecDeque<Request>,
-    /// One FIFO per master.
-    queues: Vec<VecDeque<Request>>,
+    /// One FIFO per master; each request carries its admission depth.
+    queues: Vec<VecDeque<(Request, u32)>>,
     /// Masters from highest to lowest priority; a granted master moves to
     /// the back (least-recently-served rotation).
     order: VecDeque<u32>,
     /// Earliest next-activate time per bank (tRC rule).
     bank_ready: Vec<SimTime>,
     next_refresh: SimTime,
-    depth_at_admission: BTreeMap<u64, u32>,
-    completions: Vec<Completion>,
-    latency: Summary,
-    refreshes: u64,
-    finished_at: SimTime,
+    outcome: DpqOutcome,
 }
 
 impl DpqRun<'_> {
@@ -207,9 +172,8 @@ impl DpqRun<'_> {
         while self.pending.front().is_some_and(|r| r.arrival <= now) {
             let req = self.pending.pop_front().expect("front checked");
             let q = &mut self.queues[req.master.0 as usize];
-            q.push_back(req);
-            let id = q.back().expect("just pushed").id;
-            self.depth_at_admission.insert(id, q.len() as u32);
+            let depth = q.len() as u32 + 1;
+            q.push_back((req, depth));
         }
     }
 
@@ -220,9 +184,8 @@ impl DpqRun<'_> {
     /// Performs one refresh starting at `now`, returning its end time.
     fn refresh(&mut self, now: SimTime) -> SimTime {
         let end = now + SimDuration::from_ns(self.timing.t_rfc);
-        self.refreshes += 1;
+        self.outcome.refreshes += 1;
         self.next_refresh += SimDuration::from_ns(self.timing.t_refi);
-        self.trace.record(now, "dpq", "refresh", None);
         end
     }
 }
@@ -232,7 +195,7 @@ impl Process for DpqRun<'_> {
 
     fn handle(&mut self, _event: DramEvent, sink: &mut dyn EventSink<DramEvent>) {
         let now = sink.now();
-        self.finished_at = self.finished_at.max(now);
+        self.outcome.finished_at = self.outcome.finished_at.max(now);
         self.admit(now);
 
         if !self.backlogged() {
@@ -267,7 +230,7 @@ impl Process for DpqRun<'_> {
             .expect("backlogged() checked");
         let master = self.order.remove(pos).expect("position valid");
         self.order.push_back(master);
-        let req = self.queues[master as usize]
+        let (req, depth) = self.queues[master as usize]
             .pop_front()
             .expect("queue non-empty");
 
@@ -279,15 +242,12 @@ impl Process for DpqRun<'_> {
         let done = begin + SimDuration::from_ns(t.t_rp + t.t_rcd + t.t_cl + t.t_burst);
         *bank = begin + SimDuration::from_ns(t.t_rp + t.t_ras);
 
-        self.latency
-            .record(done.saturating_since(req.arrival).as_ns());
-        self.trace
-            .record(begin, "dpq", "grant", Some(req.master.0 as i64));
-        self.completions.push(Completion {
+        self.outcome.completions.push(Completion {
             request: req,
             finished: done,
             row_hit: false,
         });
+        self.outcome.depths.push(depth);
         sink.schedule_at(done, DramEvent::Kick);
     }
 }
@@ -327,15 +287,20 @@ mod tests {
     use super::*;
     use crate::timing::presets::{ddr3_1600, ddr4_2400, lpddr4_3200};
 
+    /// The granted master of every completion, in grant order.
+    fn grants(out: &DpqOutcome) -> Vec<u32> {
+        out.completions.iter().map(|c| c.request.master.0).collect()
+    }
+
     #[test]
     fn single_master_single_request_costs_one_pipeline() {
         let t = ddr3_1600();
         let pipeline = t.t_rp + t.t_rcd + t.t_cl + t.t_burst;
         let arb = DpqArbiter::new(t, 1, 1);
-        let out = arb.simulate(adversarial_dpq_workload(1, 1), false);
+        let out = arb.simulate(adversarial_dpq_workload(1, 1));
         assert_eq!(out.completions.len(), 1);
         assert!((out.finished_at.as_ns() - pipeline).abs() < 1e-6);
-        assert_eq!(out.depth_of(0), Some(1));
+        assert_eq!(out.depths, vec![1]);
         assert_eq!(out.refreshes, 0);
     }
 
@@ -344,13 +309,8 @@ mod tests {
         // Three masters, two requests each, all at t=0: grants must cycle
         // 0,1,2,0,1,2 — no master is served twice before the others.
         let arb = DpqArbiter::new(ddr3_1600(), 3, 3);
-        let out = arb.simulate(adversarial_dpq_workload(3, 2), true);
-        let grants: Vec<i64> = out
-            .trace
-            .with_tag("grant")
-            .map(|e| e.value.expect("grant records master"))
-            .collect();
-        assert_eq!(grants, vec![0, 1, 2, 0, 1, 2]);
+        let out = arb.simulate(adversarial_dpq_workload(3, 2));
+        assert_eq!(grants(&out), vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
@@ -383,12 +343,8 @@ mod tests {
             SimTime::from_ns(2.5 * pipeline),
         ));
         let arb = DpqArbiter::new(t, 3, 3);
-        let out = arb.simulate(reqs, true);
-        let grants: Vec<i64> = out
-            .trace
-            .with_tag("grant")
-            .map(|e| e.value.expect("grant records master"))
-            .collect();
+        let out = arb.simulate(reqs);
+        let grants = grants(&out);
         let first_zero = grants
             .iter()
             .position(|&g| g == 0)
@@ -400,14 +356,13 @@ mod tests {
     }
 
     #[test]
-    fn depth_at_admission_counts_queue_position() {
+    fn admission_depth_counts_queue_position() {
         let arb = DpqArbiter::new(ddr4_2400(), 2, 2);
-        let out = arb.simulate(adversarial_dpq_workload(2, 3), false);
-        for m in 0..2u32 {
-            for k in 0..3u32 {
-                let id = (m * 3 + k) as u64;
-                assert_eq!(out.depth_of(id), Some(k + 1));
-            }
+        let out = arb.simulate(adversarial_dpq_workload(2, 3));
+        assert_eq!(out.depths.len(), 6);
+        // Request `k` of each master (id `m·3 + k`) lands at depth k + 1.
+        for (c, &depth) in out.completions.iter().zip(&out.depths) {
+            assert_eq!(u64::from(depth), c.request.id % 3 + 1);
         }
     }
 
@@ -428,7 +383,7 @@ mod tests {
             ));
         }
         let arb = DpqArbiter::new(t, 1, 1);
-        let out = arb.simulate(reqs, false);
+        let out = arb.simulate(reqs);
         assert_eq!(out.completions.len(), 10);
         assert!(out.refreshes >= 9, "refreshes = {}", out.refreshes);
         // Completion times strictly increase (single master, FIFO).
@@ -443,7 +398,7 @@ mod tests {
         let pipeline = t.t_rp + t.t_rcd + t.t_cl + t.t_burst;
         let (masters, depth) = (4u32, 3u32);
         let arb = DpqArbiter::new(t, masters, masters);
-        let out = arb.simulate(adversarial_dpq_workload(masters, depth), false);
+        let out = arb.simulate(adversarial_dpq_workload(masters, depth));
         let probe = adversarial_dpq_probe(masters, depth);
         let c = out.completion_of(probe).expect("probe served");
         // Banks are per-master, so with >= 2 masters the pipeline (not

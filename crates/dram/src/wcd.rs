@@ -327,7 +327,7 @@ pub struct DpqParams {
     /// Queue depth `d` of the request under study at admission, 1-based
     /// and counting the request itself (the `d`-th pending request of its
     /// master). Matches
-    /// [`DpqOutcome::depth_at_admission`](crate::dpq::DpqOutcome).
+    /// [`DpqOutcome::depths`](crate::dpq::DpqOutcome).
     pub queue_depth: u32,
 }
 
@@ -701,9 +701,8 @@ mod tests {
             for masters in [1u32, 2, 4] {
                 for depth in [1u32, 4, 16, 32] {
                     let arb = DpqArbiter::new(timing.clone(), masters, masters);
-                    let out = arb.simulate(adversarial_dpq_workload(masters, depth), false);
-                    for c in &out.completions {
-                        let d = out.depth_of(c.request.id).expect("depth recorded");
+                    let out = arb.simulate(adversarial_dpq_workload(masters, depth));
+                    for (c, &d) in out.completions.iter().zip(&out.depths) {
                         let b = dpq_upper_bound(&DpqParams {
                             timing: timing.clone(),
                             masters,

@@ -120,7 +120,7 @@ mod controller {
                 })
                 .collect();
             let n = workload.len();
-            let out = ctrl.simulate(workload, false);
+            let out = ctrl.simulate(workload);
             prop_assert_eq!(out.completions.len(), n, "no request may be lost");
             prop_assert_eq!(out.row_hits + out.row_misses, n as u64);
             // Completion times never precede arrivals.
@@ -142,7 +142,7 @@ mod controller {
                     Request::new(i as u64, MasterId(0), RequestKind::Read, 0, row, SimTime::ZERO)
                 })
                 .collect();
-            let out = ctrl.simulate(workload, false);
+            let out = ctrl.simulate(workload);
             let rate = out.hit_rate();
             prop_assert!((0.0..=1.0).contains(&rate));
         }

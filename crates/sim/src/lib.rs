@@ -13,6 +13,8 @@
 //!   [`Process`];
 //! * [`stats`] — streaming statistics (Welford mean/variance)
 //!   used to report simulated latencies and bandwidths;
+//! * [`metrics`] — the [`MetricsRegistry`] every simulator publishes
+//!   into after its run, and its deterministic JSON/CSV export;
 //! * [`rng`] — seeded, reproducible random number plumbing;
 //! * [`hash`] — a seedless hasher for maps looked up only by key, so
 //!   their `Debug` output and iteration are the same in every process.
@@ -39,14 +41,12 @@ pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, EventSink, MapSink, Process};
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan, MessageFault, SensorFault};
 pub use json::JsonValue;
-pub use metrics::{HistogramSketch, MetricsRegistry, Span};
+pub use metrics::{HistogramSketch, MetricsRegistry};
 pub use rng::SimRng;
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};

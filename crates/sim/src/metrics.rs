@@ -10,24 +10,23 @@
 //! * **histograms** — [`HistogramSketch`] streaming sketches of sample
 //!   distributions (latencies, queue depths) answering p50/p95/p99/max.
 //!
-//! A scoped [`Span`] measures simulated-time durations against the
-//! [`SimTime`] clock and folds them into a histogram. Registries
+//! A simulator publishes after its run, from the outcome it returned or
+//! the state it left; none holds a registry while it runs. Registries
 //! [`merge`](MetricsRegistry::merge) so parallel shards combine into one
-//! report, and export as JSON and CSV under a single schema
-//! ([`SCHEMA`]) that all bench binaries share; [`validate_json_export`]
-//! is the drift gate CI runs against exported files.
+//! report, and export as JSON and CSV under a single schema ([`SCHEMA`])
+//! that all bench binaries share; [`validate_json_export`] is the drift
+//! gate CI runs against exported files.
 //!
 //! # Examples
 //!
 //! ```
-//! use autoplat_sim::metrics::{MetricsRegistry, Span};
-//! use autoplat_sim::SimTime;
+//! use autoplat_sim::metrics::MetricsRegistry;
+//! use autoplat_sim::SimDuration;
 //!
 //! let mut m = MetricsRegistry::new();
 //! m.incr("dram.row_hits");
 //! m.gauge_set("dram.hit_rate", 0.93);
-//! let span = Span::begin("dram.refresh_stall_ns", SimTime::ZERO);
-//! span.end(&mut m, SimTime::from_ns(160.0));
+//! m.observe("dram.refresh_stall_ns", SimDuration::from_ns(160.0).as_ns());
 //! assert_eq!(m.counter("dram.row_hits"), 1);
 //! assert_eq!(m.histogram("dram.refresh_stall_ns").unwrap().count(), 1);
 //! autoplat_sim::metrics::validate_json_export(&m.to_json()).unwrap();
@@ -37,7 +36,6 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::json::JsonValue;
-use crate::time::SimTime;
 
 /// Schema identifier stamped into every export.
 pub const SCHEMA: &str = "autoplat.metrics.v1";
@@ -234,40 +232,6 @@ impl HistogramSketch {
             ("p95".into(), opt(self.p95())),
             ("p99".into(), opt(self.p99())),
         ])
-    }
-}
-
-/// An in-flight scoped measurement against the simulated clock.
-///
-/// Begin a span when an operation starts, end it when it completes; the
-/// elapsed [`SimTime`] (in nanoseconds) lands in the named histogram.
-/// Spans are plain values — they can be stored in component state across
-/// simulation steps and do not borrow the registry while open.
-#[derive(Debug, Clone)]
-pub struct Span {
-    metric: Cow<'static, str>,
-    started: SimTime,
-}
-
-impl Span {
-    /// Starts a span at `at` feeding the histogram `metric`.
-    pub fn begin(metric: impl Into<Cow<'static, str>>, at: SimTime) -> Self {
-        Span {
-            metric: metric.into(),
-            started: at,
-        }
-    }
-
-    /// The instant the span began.
-    pub fn started(&self) -> SimTime {
-        self.started
-    }
-
-    /// Ends the span at `at`, recording the elapsed nanoseconds.
-    /// A span ended before it started records a zero-length interval.
-    pub fn end(self, registry: &mut MetricsRegistry, at: SimTime) {
-        let elapsed = at.saturating_since(self.started).as_ns();
-        registry.observe(self.metric, elapsed);
     }
 }
 
@@ -577,7 +541,6 @@ pub fn validate_csv_export(csv: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn counters_accumulate() {
@@ -660,21 +623,6 @@ mod tests {
         assert_eq!(left.p50(), whole.p50());
         assert_eq!(left.p99(), whole.p99());
         assert!((left.sum() - whole.sum()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn span_measures_sim_time() {
-        let mut m = MetricsRegistry::new();
-        let span = Span::begin("op_ns", SimTime::from_ns(100.0));
-        assert_eq!(span.started(), SimTime::from_ns(100.0));
-        span.end(&mut m, SimTime::from_ns(100.0) + SimDuration::from_ns(50.0));
-        let h = m.histogram("op_ns").expect("recorded");
-        assert_eq!(h.count(), 1);
-        assert!((h.sum() - 50.0).abs() < 1e-9);
-        // A reversed span clamps to zero rather than panicking.
-        let back = Span::begin("op_ns", SimTime::from_ns(10.0));
-        back.end(&mut m, SimTime::ZERO);
-        assert_eq!(m.histogram("op_ns").expect("recorded").count(), 2);
     }
 
     #[test]
